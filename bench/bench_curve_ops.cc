@@ -10,7 +10,10 @@
 // perf contract of the kernel dispatch: on a BMI2 machine the BMI2 encode
 // path must beat the portable scalar reference by at least 2x, or the
 // binary exits non-zero. Without BMI2 the contract is skipped (the JSON
-// says so via bmi2_supported).
+// says so via bmi2_supported). The pre-pass also times the CRC32C kernels
+// of storage/crc32c.h over a 6 KiB segment page: on an SSE4.2 machine the
+// dispatched Crc32c must beat Crc32cPortable by at least 4x (recorded with
+// sse42_supported).
 //
 //   build/bench/bench_curve_ops [--benchmark_filter=...]
 
@@ -28,6 +31,7 @@
 #include "index/decompose.h"
 #include "sfc/bits.h"
 #include "sfc/registry.h"
+#include "storage/crc32c.h"
 #include "workloads/generators.h"
 
 namespace {
@@ -126,8 +130,9 @@ void RegisterAll() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel pre-pass: raw sfc/bits.h throughput, BENCH_curve_ops.json, and
-// the BMI2-vs-scalar perf contract.
+// Kernel pre-pass: raw sfc/bits.h and CRC32C throughput,
+// BENCH_curve_ops.json, and the BMI2-vs-scalar and SSE4.2-vs-table perf
+// contracts.
 
 /// Best-of-`reps` nanoseconds per call of fn(i) over `iters` calls —
 /// minimum, not mean, because on a shared core the cheapest rep is the
@@ -261,13 +266,59 @@ bool RunKernelPrepass(bench::BenchReport* report) {
   return contract_ok;
 }
 
+/// Times Crc32cPortable and the dispatched Crc32c over one 6 KiB buffer
+/// (a segment page), records ns per KiB of each, and returns false if the
+/// dispatched kernel is not at least 4x faster on an SSE4.2 machine.
+bool RunCrc32cPrepass(bench::BenchReport* report) {
+  constexpr size_t kPageBytes = 6 << 10;
+  constexpr int kIters = 1 << 10;
+  constexpr int kReps = 7;
+  const bool sse42 = storage::HasSse42();
+  report->AddCount("sse42_supported", sse42 ? 1 : 0);
+  Rng rng(23);
+  std::vector<uint8_t> page(kPageBytes);
+  for (auto& b : page) b = static_cast<uint8_t>(rng.Next());
+  constexpr double kKib = kPageBytes / 1024.0;
+  // Each call chains on the previous sum so no two calls can overlap or
+  // be hoisted out of the loop.
+  volatile uint32_t crc_sink = 0;
+  const double portable =
+      BestNsPerOp(
+          [&](int) {
+            crc_sink = storage::Crc32cPortable(crc_sink, page.data(),
+                                               page.size());
+          },
+          kIters, kReps) /
+      kKib;
+  report->Add("crc32c_portable_ns_per_kib", portable);
+  const double dispatched =
+      BestNsPerOp(
+          [&](int) {
+            crc_sink = storage::Crc32c(crc_sink, page.data(), page.size());
+          },
+          kIters, kReps) /
+      kKib;
+  report->Add("crc32c_ns_per_kib", dispatched);
+  // The `crc32` instruction runs about 20x the table loop; 4x is a low
+  // bar so a noisy shared-CPU run cannot flap.
+  if (sse42 && dispatched * 4.0 > portable) {
+    std::fprintf(stderr,
+                 "bench_curve_ops: CRC32C contract FAILED: dispatched %.1f "
+                 "ns/KiB vs portable %.1f ns/KiB (need >= 4x)\n",
+                 dispatched, portable);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchReport report("curve_ops");
-  const bool contract_ok = RunKernelPrepass(&report);
+  const bool kernels_ok = RunKernelPrepass(&report);
+  const bool crc_ok = RunCrc32cPrepass(&report);
   if (!report.WriteFile()) return 1;
-  if (!contract_ok) return 1;
+  if (!kernels_ok || !crc_ok) return 1;
   RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

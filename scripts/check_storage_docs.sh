@@ -31,7 +31,7 @@ for symbol in SfcDb SfcTable Cursor ReadOptions NewBoxCursor NewScanCursor \
               pages_skipped_by_filter disk_bytes decoded_bytes \
               readahead_pages \
               SegmentInfos WriteBatch GetSnapshot Snapshot DbSnapshot \
-              Delete last_sequence Corruption CRC32C \
+              Delete last_sequence Corruption CRC32C Crc32cPortable \
               SecondaryIndexSpec IndexExtractor CreateIndex DropIndex \
               ListIndexes IndexTable NewIndexCursor IndexReadOptions \
               AdviseCurve CurveAdvice MigrateIndexCurve; do
@@ -53,6 +53,7 @@ for symbol in MetricsRegistry Counter Gauge Histogram HistogramSnapshot \
               bench_report BENCH_ ops_per_sec p99_us pool_hit_ratio \
               pool_hit_ratio_cold readahead_batched_reads readahead_hits \
               readahead_wasted bmi2_supported encode2_scalar_ns \
+              sse42_supported crc32c_ns_per_kib \
               wal.fsync_us flush.us compaction.us cursor.next_us \
               db.batch_commit_us index.queries index.dangling_entries \
               index.rows_resolved; do

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -262,14 +263,14 @@ class RawConn {
     }
   }
 
-  /// True when the server closed the connection (EOF) within ~5 seconds.
+  /// Blocks until the server acts; true when it closed the connection
+  /// without sending a byte. A server that closes a socket whose receive
+  /// queue still holds our request makes the kernel send RST instead of
+  /// FIN, so ECONNRESET is a close too; which one arrives is a race.
   bool WaitForClose() {
     uint8_t buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n == 0) return true;
-      if (n < 0) return false;
-    }
+    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+    return n == 0 || (n < 0 && errno == ECONNRESET);
   }
 
  private:
