@@ -166,8 +166,7 @@ int main(int argc, char** argv) {
   const auto run_committers = [&](int threads) {
     const std::string wal_path = base_dir + "_group_commit.log";
     std::remove(wal_path.c_str());
-    auto wal = storage::WalWriter::Create(wal_path,
-                                          /*fsync_each_append=*/false);
+    auto wal = storage::WalWriter::Create(wal_path);
     if (!wal.ok()) std::exit(1);
     std::mutex append_mu;
     std::atomic<uint64_t> next{0};

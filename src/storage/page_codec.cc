@@ -165,17 +165,16 @@ bool ParsePageCodec(const std::string& name, PageCodec* out) {
 }
 
 void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
-                bool with_seqs, std::vector<uint8_t>* out) {
+                std::vector<uint8_t>* out) {
   switch (codec) {
     case PageCodec::kRaw: {
-      const uint64_t stride = with_seqs ? kEntryBytesV3 : kEntryBytes;
       const size_t base = out->size();
-      out->resize(base + entries.size() * stride);
+      out->resize(base + entries.size() * kEntryBytesV3);
       for (size_t i = 0; i < entries.size(); ++i) {
-        uint8_t* at = out->data() + base + i * stride;
+        uint8_t* at = out->data() + base + i * kEntryBytesV3;
         PutU64(at, entries[i].key);
         PutU64(at + 8, entries[i].payload);
-        if (with_seqs) PutU64(at + 16, entries[i].seq);
+        PutU64(at + 16, entries[i].seq);
       }
       return;
     }
@@ -190,7 +189,7 @@ void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
           PutVarint64(out, entries[i].key - prev);
         }
         PutVarint64(out, entries[i].payload);
-        if (with_seqs) PutVarint64(out, entries[i].seq);
+        PutVarint64(out, entries[i].seq);
         prev = entries[i].key;
       }
       return;
@@ -223,12 +222,12 @@ void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
       const int seq_width = BitWidth(seq_span);
       out->push_back(static_cast<uint8_t>(key_width));
       out->push_back(static_cast<uint8_t>(payload_width));
-      if (with_seqs) out->push_back(static_cast<uint8_t>(seq_width));
+      out->push_back(static_cast<uint8_t>(seq_width));
       const size_t base_at = out->size();
-      out->resize(base_at + (with_seqs ? 24 : 16));
+      out->resize(base_at + 24);
       PutU64(out->data() + base_at, key_base);
       PutU64(out->data() + base_at + 8, payload_base);
-      if (with_seqs) PutU64(out->data() + base_at + 16, seq_base);
+      PutU64(out->data() + base_at + 16, seq_base);
       BitWriter writer(out);
       for (const Entry& entry : entries) writer.Put(entry.key - key_base, key_width);
       writer.AlignByte();
@@ -236,10 +235,10 @@ void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
         writer.Put(entry.payload - payload_base, payload_width);
       }
       writer.AlignByte();
-      if (with_seqs) {
-        for (const Entry& entry : entries) writer.Put(entry.seq - seq_base, seq_width);
-        writer.AlignByte();
+      for (const Entry& entry : entries) {
+        writer.Put(entry.seq - seq_base, seq_width);
       }
+      writer.AlignByte();
       return;
     }
   }
@@ -247,19 +246,15 @@ void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
 }
 
 bool DecodePage(PageCodec codec, const uint8_t* data, size_t size,
-                uint64_t count, bool with_seqs, std::vector<Entry>* out) {
+                uint64_t count, std::vector<Entry>* out) {
   out->clear();
   out->reserve(count);
   switch (codec) {
     case PageCodec::kRaw: {
-      // Tolerates trailing bytes: format-v1 pages are zero-padded to a
-      // fixed length but hold exactly `count` live entries.
-      const uint64_t stride = with_seqs ? kEntryBytesV3 : kEntryBytes;
-      if (size < count * stride) return false;
+      if (size != count * kEntryBytesV3) return false;
       for (uint64_t i = 0; i < count; ++i) {
-        const uint8_t* at = data + i * stride;
-        out->push_back(Entry{GetU64(at), GetU64(at + 8),
-                             with_seqs ? GetU64(at + 16) : 0});
+        const uint8_t* at = data + i * kEntryBytesV3;
+        out->push_back(Entry{GetU64(at), GetU64(at + 8), GetU64(at + 16)});
       }
       return true;
     }
@@ -271,10 +266,10 @@ bool DecodePage(PageCodec codec, const uint8_t* data, size_t size,
         uint64_t delta = 0;
         uint64_t payload = 0;
         uint64_t seq = 0;
-        if (!GetVarint64(&p, end, &delta) || !GetVarint64(&p, end, &payload)) {
+        if (!GetVarint64(&p, end, &delta) || !GetVarint64(&p, end, &payload) ||
+            !GetVarint64(&p, end, &seq)) {
           return false;
         }
-        if (with_seqs && !GetVarint64(&p, end, &seq)) return false;
         if (i == 0) {
           key = delta;
         } else {
@@ -287,22 +282,22 @@ bool DecodePage(PageCodec codec, const uint8_t* data, size_t size,
     }
     case PageCodec::kBitpack: {
       if (count == 0) return size == 0;
-      const size_t header = (with_seqs ? 3 : 2) + (with_seqs ? 24u : 16u);
+      // Three column widths, then three u64 bases.
+      const size_t header = 3 + 24;
       if (size < header) return false;
       const int key_width = data[0];
       const int payload_width = data[1];
-      const int seq_width = with_seqs ? data[2] : 0;
+      const int seq_width = data[2];
       if (key_width > 64 || payload_width > 64 || seq_width > 64) return false;
-      const uint8_t* bases = data + (with_seqs ? 3 : 2);
+      const uint8_t* bases = data + 3;
       const Key key_base = GetU64(bases);
       const uint64_t payload_base = GetU64(bases + 8);
-      const uint64_t seq_base = with_seqs ? GetU64(bases + 16) : 0;
+      const uint64_t seq_base = GetU64(bases + 16);
       // Exact-size check: the three byte-aligned streams follow the header
       // back to back; anything else is corruption.
       const uint64_t expect = header + PackedColumnBytes(count, key_width) +
                               PackedColumnBytes(count, payload_width) +
-                              (with_seqs ? PackedColumnBytes(count, seq_width)
-                                         : 0);
+                              PackedColumnBytes(count, seq_width);
       if (size != expect) return false;
       BitReader reader(data + header, data + size);
       std::vector<uint64_t> key_deltas(count);
@@ -318,10 +313,9 @@ bool DecodePage(PageCodec codec, const uint8_t* data, size_t size,
       reader.AlignByte();
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t seq_delta = 0;
-        if (with_seqs && !reader.Get(seq_width, &seq_delta)) return false;
+        if (!reader.Get(seq_width, &seq_delta)) return false;
         out->push_back(Entry{key_base + key_deltas[i],
-                             payload_base + payloads[i],
-                             with_seqs ? seq_base + seq_delta : 0});
+                             payload_base + payloads[i], seq_base + seq_delta});
       }
       return true;
     }

@@ -1,20 +1,19 @@
-// Pluggable page codecs for segment format version 2.
+// Pluggable page codecs for segment pages.
 //
-// A codec maps one page of sorted (key, payload) entries to a byte string
+// A codec maps one page of sorted (key, payload, seq) entries to a byte
+// string
 // and back. Segments record their codec in the header, so readers always
 // decode with the codec the file was written with, and every layer above
 // the segment (buffer pool, cursors, compaction) only ever sees decoded
 // entries — the codec is invisible outside segment.{h,cc} except as a
 // table option and an on-disk byte count.
 //
-//   kRaw          without seqs (v1/v2 pages): count * 16 bytes — u64 key,
-//                 u64 payload per entry, little-endian, no padding. With
-//                 seqs (v3 pages): count * 24 bytes — u64 key, u64
-//                 payload, u64 packed seq (see page_source.h).
+//   kRaw          count * 24 bytes — u64 key, u64 payload, u64 packed seq
+//                 (see page_source.h) per entry, little-endian, no padding.
 //   kDeltaVarint  exploits the sort order: the first entry is
-//                 varint(key) varint(payload); every following entry is
-//                 varint(key - previous key) varint(payload). With seqs a
-//                 varint(packed seq) follows each payload. Dense key runs
+//                 varint(key) varint(payload) varint(seq); every following
+//                 entry is varint(key - previous key) varint(payload)
+//                 varint(seq). Dense key runs
 //                 (exactly what a well-clustered curve produces) shrink
 //                 to a few bytes per entry.
 //   kBitpack      frame-of-reference + bit packing: per page, each of the
@@ -27,9 +26,7 @@
 //                 docs/storage_format.md.
 //
 // Varints are LEB128: 7 payload bits per byte, high bit set on every byte
-// but the last, at most 10 bytes for a u64. Whether a page carries seqs is
-// a property of the SEGMENT format version (v3 pages do, v1/v2 pages do
-// not), passed in by the caller — the codec id alone does not change.
+// but the last, at most 10 bytes for a u64.
 
 #ifndef ONION_STORAGE_PAGE_CODEC_H_
 #define ONION_STORAGE_PAGE_CODEC_H_
@@ -42,7 +39,7 @@
 
 namespace onion::storage {
 
-/// On-disk page encoding of a v2 segment. The numeric values are part of
+/// On-disk page encoding of a segment. The numeric values are part of
 /// the file format (header field `codec_id`) — never renumber.
 enum class PageCodec : uint32_t {
   kRaw = 0,
@@ -61,19 +58,15 @@ const char* PageCodecName(PageCodec codec);
 bool ParsePageCodec(const std::string& name, PageCodec* out);
 
 /// Appends the encoding of `entries` (sorted by key — checked for
-/// kDeltaVarint and kBitpack) to `*out`. `with_seqs` selects the v3
-/// triple layout (key, payload, packed seq) over the v1/v2 pair layout.
+/// kDeltaVarint and kBitpack) to `*out`.
 void EncodePage(PageCodec codec, const std::vector<Entry>& entries,
-                bool with_seqs, std::vector<uint8_t>* out);
+                std::vector<uint8_t>* out);
 
 /// Decodes exactly `count` entries from `[data, data + size)` into `*out`
-/// (replacing its contents); entries of a page without seqs decode with
-/// seq 0. Returns false on malformed input (truncated buffer, varint
-/// overflow, or — for kDeltaVarint — trailing garbage). kRaw tolerates
-/// extra trailing bytes so the zero-padded pages of format v1 decode
-/// through the same path.
+/// (replacing its contents). Returns false on malformed input: a truncated
+/// buffer, a varint overflow, or bytes left over after the last entry.
 bool DecodePage(PageCodec codec, const uint8_t* data, size_t size,
-                uint64_t count, bool with_seqs, std::vector<Entry>* out);
+                uint64_t count, std::vector<Entry>* out);
 
 }  // namespace onion::storage
 

@@ -25,10 +25,9 @@
 namespace onion::storage {
 
 /// One stored record: a curve key, an opaque payload id, and the packed
-/// version stamp of the MVCC write path (see PackSeq below). Entries
-/// predating the versioned API — format-v1/v2 segment pages, WAL-v1
-/// records — carry seq 0: sequence number 0, not a tombstone, visible to
-/// every snapshot.
+/// version stamp of the MVCC write path (see PackSeq below). Seq 0 —
+/// sequence number 0, not a tombstone, visible to every snapshot — is what
+/// unversioned sources (the in-memory simulation) carry.
 struct Entry {
   Key key;
   uint64_t payload;
@@ -52,10 +51,10 @@ inline constexpr bool IsTombstone(uint64_t seq) { return (seq & 1) != 0; }
 /// Largest storable sequence number (63 usable bits).
 inline constexpr uint64_t kMaxSequence = ~0ull >> 1;
 
-/// Bytes of a (key, payload) pair in the v1/v2 on-disk segment formats;
-/// also the per-entry unit of the legacy in-memory disk simulation.
+/// Bytes of a (key, payload) pair: the per-entry unit of the in-memory
+/// disk simulation.
 inline constexpr uint64_t kEntryBytes = 16;
-/// Bytes of a raw-encoded (key, payload, seq) triple in segment format v3.
+/// Bytes of a raw-encoded (key, payload, seq) triple in a segment page.
 inline constexpr uint64_t kEntryBytesV3 = 24;
 /// Bytes one decoded Entry occupies in a buffer-pool frame (the unit of
 /// IoStats::decoded_bytes).
@@ -120,7 +119,7 @@ class PageSource {
 
   /// Filter probe: false proves no entry of this source has key `key`.
   /// The default (no filter) answers "maybe" — true never lies, false is
-  /// authoritative. Sources with a bloom filter (segment format v2)
+  /// authoritative. Sources with a bloom filter (segments)
   /// override this; BufferPool::ProbeFilter turns a false into a skipped
   /// page fetch.
   virtual bool MayContainKey(Key key) const {

@@ -6,17 +6,15 @@
 #include "sfc/curve.h"
 #include "storage/codec.h"
 #include "storage/crc32c.h"
-#include "storage/fs_util.h"
 
 namespace onion::storage {
 namespace {
 
 constexpr char kMagic[8] = {'O', 'S', 'F', 'C', 'S', 'E', 'G', '1'};
-constexpr uint32_t kFormatVersion = 3;     // what SegmentWriter emits
-constexpr uint64_t kHeaderBytesV1 = 64;
-constexpr uint64_t kHeaderBytesV2 = 96;    // v3 shares the v2 layout
+constexpr uint32_t kFormatVersion = 3;  // the only version this build reads
+constexpr uint64_t kHeaderBytes = 96;
 constexpr uint64_t kPageIndexRecordBytes = 32;
-/// Trailing CRC32C of every v3 page's encoded bytes.
+/// Trailing CRC32C of every page's encoded bytes.
 constexpr uint64_t kPageCrcBytes = 4;
 /// Bytes one page contributes to the zone-map block: (lo, hi) u32 per dim.
 constexpr uint64_t kZoneBytesPerDim = 8;
@@ -27,9 +25,7 @@ uint64_t HeaderChecksum(uint32_t version, uint32_t entries_per_page,
                         uint64_t index_offset, uint32_t codec_id,
                         uint32_t filter_bits, uint64_t filter_offset,
                         uint64_t filter_bytes, uint32_t zone_dims) {
-  // xor-fold with distinct rotations so field swaps change the sum. The
-  // v2-only fields are zero for version-1 headers, which keeps this
-  // function byte-compatible with the checksums already on disk.
+  // xor-fold with distinct rotations so field swaps change the sum.
   uint64_t sum = 0x0410105fc5e671ULL;  // salt
   sum ^= Rotl64(static_cast<uint64_t>(version) << 32 | entries_per_page, 1);
   sum ^= Rotl64(num_entries, 7);
@@ -44,22 +40,8 @@ uint64_t HeaderChecksum(uint32_t version, uint32_t entries_per_page,
   return sum;
 }
 
-Status IoError(const std::string& path, const char* what) {
-  return Status::Internal(std::string(what) + ": " + path);
-}
-
 Status CorruptError(const std::string& path, const char* what) {
   return Status::InvalidArgument(std::string(what) + ": " + path);
-}
-
-/// 64-bit-safe absolute seek (plain fseek takes a long, which is 32 bits on
-/// some platforms — segments can exceed 2 GiB).
-bool SeekTo(std::FILE* file, uint64_t offset) {
-#if defined(_WIN32)
-  return _fseeki64(file, static_cast<long long>(offset), SEEK_SET) == 0;
-#else
-  return ::fseeko(file, static_cast<off_t>(offset), SEEK_SET) == 0;
-#endif
 }
 
 }  // namespace
@@ -82,40 +64,35 @@ SegmentWriter::SegmentWriter(std::string path,
                   "page size must be positive");
   ONION_CHECK_MSG(PageCodecValid(static_cast<uint32_t>(options_.codec)),
                   "unknown page codec");
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) {
-    status_ = IoError(path_, "cannot create segment file");
+  auto file = File::Create(path_);
+  if (!file.ok()) {
+    status_ = file.status();
     return;
   }
+  file_ = std::move(file).value();
   // Header placeholder, overwritten by Finish().
-  const std::vector<uint8_t> zeros(kHeaderBytesV2, 0);
-  if (std::fwrite(zeros.data(), 1, zeros.size(), file_) != zeros.size()) {
-    status_ = IoError(path_, "write failed");
-  }
-  next_offset_ = kHeaderBytesV2;
+  const uint8_t zeros[kHeaderBytes] = {};
+  status_ = file_.Append(zeros, kHeaderBytes);
+  next_offset_ = kHeaderBytes;
   page_buf_.reserve(options_.entries_per_page);
 }
 
 SegmentWriter::~SegmentWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  file_.Close();
   if (!finished_) std::remove(path_.c_str());
 }
 
 Status SegmentWriter::WritePage() {
   std::vector<uint8_t> bytes;
-  EncodePage(options_.codec, page_buf_, /*with_seqs=*/true, &bytes);
+  EncodePage(options_.codec, page_buf_, &bytes);
   // Per-page block checksum: decoders verify it before touching the
   // encoding, so a flipped bit surfaces as Status::Corruption instead of
   // silently wrong entries.
   const uint32_t crc = Crc32c(bytes.data(), bytes.size());
   bytes.resize(bytes.size() + kPageCrcBytes);
   PutU32(bytes.data() + bytes.size() - kPageCrcBytes, crc);
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    return IoError(path_, "write failed");
-  }
+  const Status status = file_.Append(bytes.data(), bytes.size());
+  if (!status.ok()) return status;
   PageMeta meta;
   meta.offset = next_offset_;
   meta.bytes = bytes.size();
@@ -165,53 +142,37 @@ Status SegmentWriter::Finish() {
   }
   const uint64_t num_pages = pages_.size();
 
-  // Footer block 1: the bloom filter (may be empty).
-  const std::vector<uint8_t> filter = bloom_.Finish();
-  const uint64_t filter_offset = filter.empty() ? 0 : next_offset_;
-  if (!filter.empty() &&
-      std::fwrite(filter.data(), 1, filter.size(), file_) != filter.size()) {
-    return status_ = IoError(path_, "write failed");
-  }
-
-  // Footer block 2: zone maps, page-major, (lo, hi) u32 per dimension.
+  // The footer, appended in one write: the bloom filter (may be empty),
+  // the zone maps (page-major, (lo, hi) u32 per dimension), the page index.
+  std::vector<uint8_t> footer = bloom_.Finish();
+  const uint64_t filter_bytes = footer.size();
+  const uint64_t filter_offset = filter_bytes == 0 ? 0 : next_offset_;
   const uint32_t zone_dims =
       options_.curve != nullptr && num_pages > 0
           ? static_cast<uint32_t>(options_.curve->universe().dims())
           : 0;
-  if (zone_dims > 0) {
-    std::vector<uint8_t> zone_bytes(num_pages * zone_dims * kZoneBytesPerDim);
-    for (uint64_t i = 0; i < num_pages; ++i) {
-      uint8_t* record = &zone_bytes[i * zone_dims * kZoneBytesPerDim];
-      for (uint32_t d = 0; d < zone_dims; ++d) {
-        PutU32(record + d * 8, pages_[i].cell_lo[d]);
-        PutU32(record + d * 8 + 4, pages_[i].cell_hi[d]);
-      }
-    }
-    if (std::fwrite(zone_bytes.data(), 1, zone_bytes.size(), file_) !=
-        zone_bytes.size()) {
-      return status_ = IoError(path_, "write failed");
-    }
-  }
-
-  // Footer block 3: the page index.
-  const uint64_t index_offset = next_offset_ + filter.size() +
-                                num_pages * zone_dims * kZoneBytesPerDim;
-  std::vector<uint8_t> index_bytes(num_pages * kPageIndexRecordBytes);
+  const uint64_t zone_bytes = num_pages * zone_dims * kZoneBytesPerDim;
+  const uint64_t index_offset = next_offset_ + filter_bytes + zone_bytes;
+  footer.resize(filter_bytes + zone_bytes + num_pages * kPageIndexRecordBytes);
   for (uint64_t i = 0; i < num_pages; ++i) {
-    uint8_t* record = &index_bytes[i * kPageIndexRecordBytes];
+    uint8_t* zone =
+        footer.data() + filter_bytes + i * zone_dims * kZoneBytesPerDim;
+    for (uint32_t d = 0; d < zone_dims; ++d) {
+      PutU32(zone + d * 8, pages_[i].cell_lo[d]);
+      PutU32(zone + d * 8 + 4, pages_[i].cell_hi[d]);
+    }
+    uint8_t* record =
+        footer.data() + filter_bytes + zone_bytes + i * kPageIndexRecordBytes;
     PutU64(record, pages_[i].offset);
     PutU64(record + 8, pages_[i].bytes);
     PutU64(record + 16, pages_[i].first_key);
     PutU64(record + 24, pages_[i].last_key);
   }
-  if (!index_bytes.empty() &&
-      std::fwrite(index_bytes.data(), 1, index_bytes.size(), file_) !=
-          index_bytes.size()) {
-    return status_ = IoError(path_, "write failed");
-  }
+  status_ = file_.Append(footer.data(), footer.size());
+  if (!status_.ok()) return status_;
 
   const auto codec_id = static_cast<uint32_t>(options_.codec);
-  uint8_t header[kHeaderBytesV2] = {};
+  uint8_t header[kHeaderBytes] = {};
   std::memcpy(header, kMagic, sizeof(kMagic));
   PutU32(header + 8, kFormatVersion);
   PutU32(header + 12, options_.entries_per_page);
@@ -223,28 +184,25 @@ Status SegmentWriter::Finish() {
   PutU32(header + 56, codec_id);
   PutU32(header + 60, options_.filter_bits_per_key);
   PutU64(header + 64, filter_offset);
-  PutU64(header + 72, filter.size());
+  PutU64(header + 72, filter_bytes);
   PutU32(header + 80, zone_dims);
   PutU32(header + 84, 0);  // reserved
   PutU64(header + 88,
          HeaderChecksum(kFormatVersion, options_.entries_per_page,
                         num_entries_, num_pages, min_key_, max_key_,
                         index_offset, codec_id, options_.filter_bits_per_key,
-                        filter_offset, filter.size(), zone_dims));
-  if (!SeekTo(file_, 0) ||
-      std::fwrite(header, 1, kHeaderBytesV2, file_) != kHeaderBytesV2) {
-    return status_ = IoError(path_, "write failed");
-  }
+                        filter_offset, filter_bytes, zone_dims));
+  status_ = file_.WriteAt(0, header, kHeaderBytes);
+  if (!status_.ok()) return status_;
   // Durability before publication: fsync the data, then the directory
   // entry, BEFORE the caller may reference this segment from a MANIFEST.
   // Without the second sync a crash could durably install a manifest whose
   // directory never durably contained the segment it names.
-  status_ = SyncFile(file_, path_);
+  status_ = file_.Sync();
   if (!status_.ok()) return status_;
   status_ = SyncDir(DirOf(path_));
   if (!status_.ok()) return status_;
-  std::fclose(file_);
-  file_ = nullptr;
+  file_.Close();
   finished_ = true;
   return Status::OK();
 }
@@ -252,105 +210,45 @@ Status SegmentWriter::Finish() {
 // ---------------------------------------------------------------------------
 // SegmentReader
 
-SegmentReader::SegmentReader(std::string path, std::FILE* file)
-    : path_(std::move(path)), file_(file) {}
+SegmentReader::SegmentReader(std::string path, File file)
+    : path_(std::move(path)), file_(std::move(file)) {}
 
-SegmentReader::~SegmentReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+SegmentReader::~SegmentReader() = default;
 
 Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(std::string path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open segment file: " + path);
-  }
+  auto file = File::OpenForRead(path);
+  if (!file.ok()) return file.status();
   std::unique_ptr<SegmentReader> reader(
-      new SegmentReader(std::move(path), file));
-
-  // All versions share the first 64 bytes of header layout; versions 2
-  // and 3 extend it to 96. Read the common prefix, dispatch on the
-  // version.
-  uint8_t header[kHeaderBytesV2];
-  if (std::fread(header, 1, kHeaderBytesV1, file) != kHeaderBytesV1) {
-    return CorruptError(reader->path_, "segment too short");
-  }
+      new SegmentReader(std::move(path), std::move(file).value()));
+  uint8_t header[kHeaderBytes];
+  const Status status =
+      reader->ReadBlock(0, header, kHeaderBytes, "segment too short");
+  if (!status.ok()) return status;
   if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return CorruptError(reader->path_, "bad segment magic");
   }
   const uint32_t version = GetU32(header + 8);
-  Status status;
-  if (version == 1) {
-    status = reader->LoadV1(header);
-  } else if (version == 2 || version == 3) {
-    if (std::fread(header + kHeaderBytesV1, 1,
-                   kHeaderBytesV2 - kHeaderBytesV1,
-                   file) != kHeaderBytesV2 - kHeaderBytesV1) {
-      return CorruptError(reader->path_, "segment too short");
-    }
-    status = reader->LoadV2(header, version);
-  } else {
+  if (version != kFormatVersion) {
     return Status::InvalidArgument(
         "unsupported segment format version " + std::to_string(version) +
-        " (this build reads versions 1 through 3): " + reader->path_);
+        " (this build reads version " + std::to_string(kFormatVersion) +
+        " only): " + reader->path_);
   }
-  if (!status.ok()) return status;
+  const Status loaded = reader->Load(header);
+  if (!loaded.ok()) return loaded;
   return reader;
 }
 
-Status SegmentReader::LoadV1(const uint8_t* header) {
-  version_ = 1;
-  codec_ = PageCodec::kRaw;
-  entries_per_page_ = GetU32(header + 12);
-  num_entries_ = GetU64(header + 16);
-  const uint64_t num_pages = GetU64(header + 24);
-  min_key_ = GetU64(header + 32);
-  max_key_ = GetU64(header + 40);
-  const uint64_t fence_offset = GetU64(header + 48);
-  const uint64_t checksum = GetU64(header + 56);
-  if (entries_per_page_ < 1) {
-    return CorruptError(path_, "segment page size is zero");
+Status SegmentReader::ReadBlock(uint64_t offset, void* data, size_t n,
+                                const char* what) const {
+  const Status status = file_.ReadAt(offset, data, n);
+  if (status.code() == StatusCode::kCorruption) {
+    return CorruptError(path_, what);
   }
-  if (checksum != HeaderChecksum(1, entries_per_page_, num_entries_,
-                                 num_pages, min_key_, max_key_, fence_offset,
-                                 0, 0, 0, 0, 0)) {
-    return CorruptError(path_, "segment header checksum mismatch");
-  }
-  const uint64_t page_bytes =
-      static_cast<uint64_t>(entries_per_page_) * kEntryBytes;
-  const uint64_t expected_pages =
-      (num_entries_ + entries_per_page_ - 1) / entries_per_page_;
-  const uint64_t expected_fence_offset =
-      kHeaderBytesV1 + num_pages * page_bytes;
-  if (num_pages != expected_pages || fence_offset != expected_fence_offset) {
-    return CorruptError(path_, "segment geometry corrupt");
-  }
-
-  std::vector<uint8_t> fence_bytes(num_pages * kEntryBytes);
-  if (!SeekTo(file_, fence_offset) ||
-      (!fence_bytes.empty() &&
-       std::fread(fence_bytes.data(), 1, fence_bytes.size(), file_) !=
-           fence_bytes.size())) {
-    return CorruptError(path_, "segment fence block truncated");
-  }
-  pages_.reserve(num_pages);
-  for (uint64_t i = 0; i < num_pages; ++i) {
-    PageMeta meta;
-    meta.offset = kHeaderBytesV1 + i * page_bytes;
-    meta.bytes = page_bytes;  // v1 pages are fixed-size (zero-padded)
-    meta.first_key = GetU64(&fence_bytes[i * kEntryBytes]);
-    meta.last_key = GetU64(&fence_bytes[i * kEntryBytes + 8]);
-    if (meta.first_key > meta.last_key ||
-        (i > 0 && meta.first_key < pages_.back().last_key)) {
-      return CorruptError(path_, "segment fence index not sorted");
-    }
-    pages_.push_back(meta);
-  }
-  file_bytes_ = kHeaderBytesV1 + num_pages * (page_bytes + kEntryBytes);
-  return Status::OK();
+  return status;
 }
 
-Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
-  version_ = version;
+Status SegmentReader::Load(const uint8_t* header) {
   entries_per_page_ = GetU32(header + 12);
   num_entries_ = GetU64(header + 16);
   const uint64_t num_pages = GetU64(header + 24);
@@ -371,10 +269,10 @@ Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
                                    std::to_string(codec_id) + ": " + path_);
   }
   codec_ = static_cast<PageCodec>(codec_id);
-  if (checksum != HeaderChecksum(version, entries_per_page_, num_entries_,
-                                 num_pages, min_key_, max_key_, index_offset,
-                                 codec_id, filter_bits, filter_offset,
-                                 filter_bytes, zone_dims_)) {
+  if (checksum != HeaderChecksum(kFormatVersion, entries_per_page_,
+                                 num_entries_, num_pages, min_key_, max_key_,
+                                 index_offset, codec_id, filter_bits,
+                                 filter_offset, filter_bytes, zone_dims_)) {
     return CorruptError(path_, "segment header checksum mismatch");
   }
   const uint64_t expected_pages =
@@ -386,14 +284,11 @@ Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
   }
 
   std::vector<uint8_t> index_bytes(num_pages * kPageIndexRecordBytes);
-  if (!SeekTo(file_, index_offset) ||
-      (!index_bytes.empty() &&
-       std::fread(index_bytes.data(), 1, index_bytes.size(), file_) !=
-           index_bytes.size())) {
-    return CorruptError(path_, "segment page index truncated");
-  }
+  Status status = ReadBlock(index_offset, index_bytes.data(),
+                            index_bytes.size(), "segment page index truncated");
+  if (!status.ok()) return status;
   pages_.reserve(num_pages);
-  uint64_t expected_offset = kHeaderBytesV2;
+  uint64_t expected_offset = kHeaderBytes;
   for (uint64_t i = 0; i < num_pages; ++i) {
     const uint8_t* record = &index_bytes[i * kPageIndexRecordBytes];
     PageMeta meta;
@@ -423,20 +318,15 @@ Status SegmentReader::LoadV2(const uint8_t* header, uint32_t version) {
     return CorruptError(path_, "segment footer geometry corrupt");
   }
 
-  if (filter_bytes > 0) {
-    filter_.resize(filter_bytes);
-    if (!SeekTo(file_, filter_offset) ||
-        std::fread(filter_.data(), 1, filter_.size(), file_) !=
-            filter_.size()) {
-      return CorruptError(path_, "segment filter block truncated");
-    }
-  }
+  filter_.resize(filter_bytes);
+  status = ReadBlock(filter_offset, filter_.data(), filter_.size(),
+                     "segment filter block truncated");
+  if (!status.ok()) return status;
   if (zone_bytes > 0) {
     std::vector<uint8_t> raw(zone_bytes);
-    if (!SeekTo(file_, zone_offset) ||
-        std::fread(raw.data(), 1, raw.size(), file_) != raw.size()) {
-      return CorruptError(path_, "segment zone maps truncated");
-    }
+    status = ReadBlock(zone_offset, raw.data(), raw.size(),
+                       "segment zone maps truncated");
+    if (!status.ok()) return status;
     zones_.resize(num_pages * zone_dims_ * 2);
     for (size_t i = 0; i < zones_.size(); ++i) {
       zones_[i] = GetU32(&raw[i * 4]);
@@ -450,40 +340,27 @@ Status SegmentReader::ReadPage(uint64_t page, std::vector<Entry>* out) const {
   ONION_CHECK_MSG(page < num_pages(), "page out of range");
   const PageMeta& meta = pages_[page];
   std::vector<uint8_t> bytes(meta.bytes);
-  {
-    // The seek+read pair must be atomic: concurrent readers (queries
-    // through the buffer pool, a background compaction cursor) share file_.
-    const MutexLock lock(io_mu_);
-    if (!SeekTo(file_, meta.offset) ||
-        std::fread(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      return Status::Corruption("segment page read truncated: page " +
-                                std::to_string(page) + " of " + path_);
-    }
-  }
+  const Status status = file_.ReadAt(meta.offset, bytes.data(), bytes.size());
+  if (!status.ok()) return status;
   return DecodePageBytes(page, bytes.data(), bytes.size(), out);
 }
 
 Status SegmentReader::DecodePageBytes(uint64_t page, const uint8_t* data,
                                       size_t size,
                                       std::vector<Entry>* out) const {
-  size_t encoded_size = size;
-  if (version_ >= 3) {
-    // v3 pages end in a CRC32C over the encoded bytes; verify before
-    // decoding so a flipped bit can never produce silently wrong entries.
-    if (encoded_size < kPageCrcBytes) {
-      return Status::Corruption("segment page shorter than its checksum: " +
-                                path_);
-    }
-    encoded_size -= kPageCrcBytes;
-    const uint32_t stored = GetU32(data + encoded_size);
-    if (stored != Crc32c(data, encoded_size)) {
-      return Status::Corruption("segment page checksum mismatch: page " +
-                                std::to_string(page) + " of " + path_);
-    }
+  // Every page ends in a CRC32C over its encoded bytes; verify before
+  // decoding so a flipped bit can never produce silently wrong entries.
+  if (size < kPageCrcBytes) {
+    return Status::Corruption("segment page shorter than its checksum: " +
+                              path_);
+  }
+  const size_t encoded_size = size - kPageCrcBytes;
+  if (GetU32(data + encoded_size) != Crc32c(data, encoded_size)) {
+    return Status::Corruption("segment page checksum mismatch: page " +
+                              std::to_string(page) + " of " + path_);
   }
   const uint64_t count = PageEnd(page) - PageBegin(page);
-  if (!DecodePage(codec_, data, encoded_size, count,
-                  /*with_seqs=*/version_ >= 3, out)) {
+  if (!DecodePage(codec_, data, encoded_size, count, out)) {
     return Status::Corruption("segment page decode failed: page " +
                               std::to_string(page) + " of " + path_);
   }
@@ -495,25 +372,9 @@ Status SegmentReader::ReadPages(uint64_t first_page, uint64_t count,
   ONION_CHECK_MSG(count > 0 && first_page < num_pages() &&
                       count <= num_pages() - first_page,
                   "page run out of range");
-  // The writer lays pages back-to-back, so a run of pages is one
-  // contiguous byte span. Verify rather than assume — if a foreign layout
-  // ever interleaves other blocks, fall back to the per-page loop.
-  const uint64_t base = pages_[first_page].offset;
-  uint64_t span = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (pages_[first_page + i].offset != base + span) {
-      return PageSource::ReadPages(first_page, count, out);
-    }
-    span += pages_[first_page + i].bytes;
-  }
-  out->clear();
-  out->resize(count);
-  (void)span;
-#if defined(ONION_HAVE_PREADV)
-  // One positioned vectored read for the whole run, scattered straight
-  // into one buffer per page. preadv never touches the descriptor's file
-  // offset, so — unlike the seek+fread pairs above — this path runs
-  // WITHOUT io_mu_ and never serializes against concurrent page reads.
+  // Open verified that pages lie back to back, so the run is one
+  // contiguous byte span: one positioned vectored read scatters it
+  // straight into one buffer per page.
   std::vector<std::vector<uint8_t>> buffers(count);
   std::vector<struct iovec> iov(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -521,54 +382,20 @@ Status SegmentReader::ReadPages(uint64_t first_page, uint64_t count,
     iov[i].iov_base = buffers[i].data();
     iov[i].iov_len = buffers[i].size();
   }
-  // The stdio stream may still hold buffered state from open-time header
-  // reads; positioned reads bypass it, which is fine because segments are
-  // immutable once opened.
-  const Status read_status = PreadvFull(::fileno(file_), base, iov.data(),
-                                        iov.size(), path_);
-  if (!read_status.ok()) {
-    return Status::Corruption("segment batched page read truncated: pages " +
-                              std::to_string(first_page) + "+" +
-                              std::to_string(count) + " of " + path_ + " (" +
-                              read_status.message() + ")");
-  }
+  const Status status =
+      file_.ReadvAt(pages_[first_page].offset, iov.data(), iov.size());
+  if (!status.ok()) return status;
+  out->clear();
+  out->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t page = first_page + i;
     // Per the PageSource contract a page that fails validation leaves an
     // empty slot; the demanding caller re-reads it alone for the error.
-    if (!DecodePageBytes(page, buffers[i].data(), buffers[i].size(),
+    if (!DecodePageBytes(first_page + i, buffers[i].data(), buffers[i].size(),
                          &(*out)[i])
              .ok()) {
       (*out)[i].clear();
     }
   }
-#else
-  std::vector<uint8_t> bytes(span);
-  {
-    // One seek + one transfer for the whole run; this is the entire point
-    // of the batched path.
-    const MutexLock lock(io_mu_);
-    if (!SeekTo(file_, base) ||
-        std::fread(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      return Status::Corruption(
-          "segment batched page read truncated: pages " +
-          std::to_string(first_page) + "+" + std::to_string(count) + " of " +
-          path_);
-    }
-  }
-  uint64_t at = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t page = first_page + i;
-    // Per the PageSource contract a page that fails validation leaves an
-    // empty slot; the demanding caller re-reads it alone for the error.
-    if (!DecodePageBytes(page, bytes.data() + at, pages_[page].bytes,
-                         &(*out)[i])
-             .ok()) {
-      (*out)[i].clear();
-    }
-    at += pages_[page].bytes;
-  }
-#endif
   return Status::OK();
 }
 

@@ -13,7 +13,7 @@
 //              (storage/page_codec.h), filter geometry, and a checksum.
 //   offset 96  pages, back to back: page i holds the entries
 //              [i*entries_per_page, ...) encoded by the segment's codec —
-//              now carrying each entry's packed seq (MVCC version stamp +
+//              each entry with its packed seq (MVCC version stamp +
 //              tombstone flag) — followed by a u32 CRC32C block checksum
 //              over the encoded page bytes. Variable length, located
 //              through the page index.
@@ -25,8 +25,7 @@
 //                                entries; may be absent (written when the
 //                                writer was given a curve).
 //                page index    — per page: byte offset, encoded length,
-//                                first key, last key. The fence index of
-//                                format v1, now carrying offsets too.
+//                                first key, last key.
 //
 // The filter block and zone maps are loaded into memory on open and
 // answer MayContainKey / PageMayIntersect probes without page I/O: a
@@ -34,33 +33,27 @@
 // zone-map probe skips one page of a box query. Both are conservative —
 // false never lies.
 //
-// Older formats open read-only through the same SegmentReader: version 2
-// pages (same layout, no seqs, no page checksums) decode with seq 0;
-// version 1 (fixed-size raw pages + fence block) loads its fences as a
-// page index with computed offsets and decodes through the kRaw codec.
-// Unknown versions are rejected with a clear Status. Compaction rewrites
-// every segment it touches with the current writer, so old files upgrade
-// to v3 on their next compaction. A v3 page whose CRC32C or encoding does
-// not validate fails ReadPage with Status::Corruption.
+// A build opens only the format version it writes: any other version is
+// rejected with Status::InvalidArgument naming the version. A page whose
+// CRC32C or encoding does not validate fails ReadPage with
+// Status::Corruption.
 //
 // SegmentWriter streams sorted entries to a new file; SegmentReader opens
 // and validates an existing file and serves pages through the PageSource
-// interface with real positioned reads.
+// interface with lock-free positioned reads (storage/file.h).
 
 #ifndef ONION_STORAGE_SEGMENT_H_
 #define ONION_STORAGE_SEGMENT_H_
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
+#include "storage/file.h"
 #include "storage/filter_block.h"
 #include "storage/page_codec.h"
 #include "storage/page_source.h"
@@ -127,7 +120,7 @@ class SegmentWriter {
 
   std::string path_;
   SegmentWriterOptions options_;
-  std::FILE* file_ = nullptr;
+  File file_;
   Status status_;  // first error encountered, sticky
   std::vector<Entry> page_buf_;
   std::vector<PageMeta> pages_;
@@ -140,11 +133,11 @@ class SegmentWriter {
   bool finished_ = false;
 };
 
-/// Read side of a segment file (format v1 or v2). Validates the header and
-/// footer blocks on open, keeps the page index, filter, and zone maps in
-/// memory, and reads pages with positioned file I/O on demand. ReadPage()
-/// is safe to call from multiple threads (the seek+read pair is serialized
-/// internally); all other accessors touch immutable state only.
+/// Read side of a segment file. Validates the header and footer blocks on
+/// open, keeps the page index, filter, and zone maps in memory, and reads
+/// pages with positioned file I/O on demand. Every method is safe to call
+/// from multiple threads: page reads are positioned reads on an immutable
+/// file and take no lock; all other accessors touch immutable state only.
 class SegmentReader final : public PageSource {
  public:
   static Result<std::unique_ptr<SegmentReader>> Open(std::string path);
@@ -160,16 +153,14 @@ class SegmentReader final : public PageSource {
   }
   Key last_key(uint64_t page) const override { return pages_[page].last_key; }
   /// Reads and decodes one page; Status::Corruption when the page's
-  /// CRC32C (format v3) or its encoding does not validate.
+  /// CRC32C or its encoding does not validate.
   Status ReadPage(uint64_t page, std::vector<Entry>* out) const override;
 
-  /// Batched read: one positioned vectored transfer (PreadvFull) scatters
-  /// the whole contiguous run (segment pages are laid back-to-back)
-  /// straight into per-page buffers WITHOUT the I/O lock — positioned
-  /// reads never move the shared file offset — then per-page CRC + decode.
-  /// Platforms without preadv fall back to one locked seek+fread. Per-page
-  /// validation failures leave empty slots per the PageSource contract;
-  /// only the transfer itself can fail.
+  /// Batched read: one positioned vectored transfer (File::ReadvAt)
+  /// scatters the whole contiguous run (segment pages are laid
+  /// back-to-back, which Open verifies) straight into per-page buffers,
+  /// then per-page CRC + decode. Per-page validation failures leave empty
+  /// slots per the PageSource contract; only the transfer itself can fail.
   Status ReadPages(uint64_t first_page, uint64_t count,
                    std::vector<std::vector<Entry>>* out) const override;
 
@@ -178,7 +169,7 @@ class SegmentReader final : public PageSource {
     ONION_CHECK_MSG(page < num_pages(), "page out of range");
     return pages_[page].bytes;
   }
-  /// Bloom probe; always true for v1 segments (no filter block).
+  /// Bloom probe; always true for segments without a filter block.
   bool MayContainKey(Key key) const override {
     return BloomMayContain(filter_.data(), filter_.size(), key);
   }
@@ -190,9 +181,7 @@ class SegmentReader final : public PageSource {
   Key min_key() const { return min_key_; }
   Key max_key() const { return max_key_; }
   const std::string& path() const { return path_; }
-  /// On-disk format version this file was written with (1, 2, or 3).
-  uint32_t format_version() const { return version_; }
-  /// Codec its pages are encoded with (kRaw for v1 files).
+  /// Codec its pages are encoded with.
   PageCodec codec() const { return codec_; }
   /// Bytes of the in-file bloom filter block (0 when absent).
   uint64_t filter_bytes() const { return filter_.size(); }
@@ -207,21 +196,20 @@ class SegmentReader final : public PageSource {
     Key last_key = 0;
   };
 
-  SegmentReader(std::string path, std::FILE* file);
-  /// Validates (v3 CRC32C) and decodes one page's encoded bytes, already
-  /// in memory — the shared tail of ReadPage and ReadPages.
+  SegmentReader(std::string path, File file);
+  /// Validates the CRC32C of one page's encoded bytes, already in memory,
+  /// and decodes them — the shared tail of ReadPage and ReadPages.
   Status DecodePageBytes(uint64_t page, const uint8_t* data, size_t size,
                          std::vector<Entry>* out) const;
-  Status LoadV1(const uint8_t* header);
-  /// Shared loader for the v2/v3 header layout (identical fields).
-  Status LoadV2(const uint8_t* header, uint32_t version);
+  /// Parses the header, then loads the page index, filter and zone maps.
+  Status Load(const uint8_t* header);
+  /// Open-time read of one footer block; running out of file means the
+  /// segment is truncated (InvalidArgument naming `what`).
+  Status ReadBlock(uint64_t offset, void* data, size_t n,
+                   const char* what) const;
 
   std::string path_;
-  // The stream position of file_ is the shared state io_mu_ serializes:
-  // every post-construction use is ReadPage's seek+read pair under it.
-  mutable std::FILE* file_;
-  mutable Mutex io_mu_;
-  uint32_t version_ = 1;
+  File file_;
   PageCodec codec_ = PageCodec::kRaw;
   uint32_t entries_per_page_ = 1;
   uint64_t num_entries_ = 0;

@@ -5,25 +5,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "sfc/registry.h"
 #include "storage/codec.h"
 #include "storage/crc32c.h"
-#include "storage/fs_util.h"
+#include "storage/file.h"
 
 namespace onion::storage {
 namespace {
 
 constexpr char kCatalogName[] = "CATALOG";
 constexpr char kCatalogFormat[] = "onion-sfc-db";
-/// Version 2 added `index` lines (secondary indexes); version-1 catalogs
-/// (no indexes) still open and are upgraded by the next rewrite.
+/// The only version this build writes and reads.
 constexpr int kCatalogVersion = 2;
-constexpr int kMinCatalogVersion = 1;
 
 /// Infix separating a base table name from an index name in a hidden
 /// index directory ("<table>__idx__<index>[__g<N>]"). User table and
@@ -112,9 +110,7 @@ SfcDb::SfcDb(std::string dir, const SfcDbOptions& options)
   index_rows_resolved_ = metrics_->counter("index.rows_resolved");
 }
 
-SfcDb::~SfcDb() {
-  if (batch_log_ != nullptr) std::fclose(batch_log_);
-}
+SfcDb::~SfcDb() = default;
 
 std::string SfcDb::TablePath(const std::string& name) const {
   return dir_ + "/" + name;
@@ -125,24 +121,15 @@ std::string SfcDb::CatalogPath() const { return dir_ + "/" + kCatalogName; }
 std::string SfcDb::BatchLogPath() const { return dir_ + "/" + kBatchLogName; }
 
 Status SfcDb::ResetBatchLogLocked() {
-  if (batch_log_ != nullptr) {
-    std::fclose(batch_log_);
-    batch_log_ = nullptr;
-  }
-  std::FILE* file = std::fopen(BatchLogPath().c_str(), "wb");
-  if (file == nullptr) {
-    return Status::Internal("cannot create batch journal: " + BatchLogPath());
-  }
+  batch_log_.Close();
+  auto file = File::Create(BatchLogPath());
+  if (!file.ok()) return file.status();
   uint8_t header[kBatchLogHeaderBytes] = {};
   std::memcpy(header, kBatchLogMagic, sizeof(kBatchLogMagic));
   PutU32(header + 8, kBatchLogVersion);
-  if (std::fwrite(header, 1, sizeof(header), file) != sizeof(header) ||
-      std::fflush(file) != 0) {
-    std::fclose(file);
-    return Status::Internal("cannot write batch journal header: " +
-                            BatchLogPath());
-  }
-  batch_log_ = file;
+  const Status status = file.value().Append(header, sizeof(header));
+  if (!status.ok()) return status;
+  batch_log_ = std::move(file).value();
   batch_log_bytes_ = kBatchLogHeaderBytes;
   return Status::OK();
 }
@@ -159,27 +146,7 @@ Status SfcDb::WriteCatalogLocked() const {
               "\n";
     }
   }
-  const std::string tmp_path = CatalogPath() + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::Internal("cannot write catalog: " + tmp_path);
-  }
-  Status status;
-  if (std::fwrite(text.data(), 1, text.size(), out) != text.size()) {
-    status = Status::Internal("cannot write catalog: " + tmp_path);
-  }
-  if (status.ok()) status = SyncFile(out, tmp_path);
-  std::fclose(out);
-  if (!status.ok()) {
-    std::remove(tmp_path.c_str());
-    return status;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, CatalogPath(), ec);
-  if (ec) {
-    return Status::Internal("cannot install catalog: " + ec.message());
-  }
-  return SyncDir(dir_);
+  return WriteFileAtomic(CatalogPath(), text);
 }
 
 Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
@@ -199,17 +166,23 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
   std::vector<std::string> live_dirs;
   {
     const MutexLock lock(db->db_mu_);
-    std::ifstream in(db->CatalogPath());
-    if (in) {
+    auto text = ReadFileBytes(db->CatalogPath());
+    if (!text.ok() && text.status().code() != StatusCode::kNotFound) {
+      return text.status();
+    }
+    if (text.ok()) {
+      std::istringstream in(text.value());
       std::string format;
       int version = 0;
       in >> format >> version;
       if (!in || format != kCatalogFormat) {
         return Status::InvalidArgument("bad catalog format in " + dir);
       }
-      if (version < kMinCatalogVersion || version > kCatalogVersion) {
-        return Status::InvalidArgument("unsupported catalog version " +
-                                       std::to_string(version) + " in " + dir);
+      if (version != kCatalogVersion) {
+        return Status::InvalidArgument(
+            "unsupported catalog version " + std::to_string(version) +
+            " (this build reads version " + std::to_string(kCatalogVersion) +
+            " only) in " + dir);
       }
       std::string field;
       while (in >> field) {
@@ -221,7 +194,7 @@ Result<std::unique_ptr<SfcDb>> SfcDb::Open(const std::string& dir,
                                            "' in catalog of " + dir);
           }
           db->catalog_.push_back(name);
-        } else if (field == "index" && version >= 2) {
+        } else if (field == "index") {
           std::string table, index, extractor, curve, index_dir;
           if (!(in >> table >> index >> extractor >> curve >> index_dir)) {
             return Status::InvalidArgument("truncated index line in catalog of " +
@@ -326,37 +299,40 @@ Status SfcDb::ReplayBatchLog() {
   // path and the final truncation) writes the journal handle, and no
   // commit may interleave with recovery.
   const MutexLock batch_lock(batch_mu_);
-  std::FILE* file = std::fopen(BatchLogPath().c_str(), "rb");
-  if (file == nullptr) return Status::OK();  // no journal: nothing pending
-  uint8_t header[kBatchLogHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header) ||
-      std::memcmp(header, kBatchLogMagic, sizeof(kBatchLogMagic)) != 0 ||
-      GetU32(header + 8) != kBatchLogVersion) {
+  auto journal = ReadFileBytes(BatchLogPath());
+  if (!journal.ok()) {
+    // No journal: nothing pending.
+    if (journal.status().code() == StatusCode::kNotFound) return Status::OK();
+    return journal.status();
+  }
+  const auto* next = reinterpret_cast<const uint8_t*>(journal.value().data());
+  const uint8_t* const file_end = next + journal.value().size();
+  if (file_end - next < static_cast<ptrdiff_t>(kBatchLogHeaderBytes) ||
+      std::memcmp(next, kBatchLogMagic, sizeof(kBatchLogMagic)) != 0 ||
+      GetU32(next + 8) != kBatchLogVersion) {
     // A torn header can only mean a crash during journal creation, before
     // any record existed — nothing to recover.
-    std::fclose(file);
     return ResetBatchLogLocked();
   }
-  std::vector<uint8_t> body;
+  next += kBatchLogHeaderBytes;
   std::vector<SfcTable*> repaired;  // tables that received journal ops
   Status status;
-  for (;;) {
-    uint8_t frame[4];
-    if (std::fread(frame, 1, 4, file) != 4) break;  // clean EOF / torn
-    const uint32_t body_bytes = GetU32(frame);
-    if (body_bytes < 4 || body_bytes > kMaxBatchRecordBytes) break;  // torn
-    body.resize(body_bytes + 4);  // + trailing crc
-    if (std::fread(body.data(), 1, body.size(), file) != body.size()) break;
-    if (GetU32(body.data() + body_bytes) != Crc32c(body.data(), body_bytes)) {
-      break;  // torn tail: this commit was never acknowledged
-    }
+  // Each record is u32 body_bytes, the body, u32 CRC32C of the body. A
+  // short, oversized or corrupt record is a torn tail: that commit was
+  // never acknowledged.
+  while (file_end - next >= 4) {
+    const uint32_t body_bytes = GetU32(next);
+    if (body_bytes < 4 || body_bytes > kMaxBatchRecordBytes) break;
+    if (static_cast<uint64_t>(file_end - next) < 8ull + body_bytes) break;
+    const uint8_t* p = next + 4;
+    const uint8_t* const end = p + body_bytes;
+    if (GetU32(end) != Crc32c(p, body_bytes)) break;
+    next = end + 4;
     // The record is whole, so the commit may have been acknowledged and
     // partially applied — walk its per-table sections and re-apply every
     // slice the table does not already have (sequence comparison; each
     // slice is one atomic WAL record, so it is wholly present or wholly
     // absent).
-    const uint8_t* p = body.data();
-    const uint8_t* const end = body.data() + body_bytes;
     const uint32_t num_tables = GetU32(p);
     p += 4;
     for (uint32_t t = 0; t < num_tables && status.ok(); ++t) {
@@ -416,12 +392,11 @@ Status SfcDb::ReplayBatchLog() {
     }
     if (!status.ok()) break;
   }
-  std::fclose(file);
   if (!status.ok()) return status;
   // Before the journal — the only copy that could repair these slices
   // again — is truncated, force the re-applied WAL records to stable
-  // storage (an fflush alone would not survive a power loss right after
-  // this Open).
+  // storage (a write to the OS alone would not survive a power loss right
+  // after this Open).
   std::sort(repaired.begin(), repaired.end());
   repaired.erase(std::unique(repaired.begin(), repaired.end()),
                  repaired.end());
@@ -707,13 +682,15 @@ Status SfcDb::CommitSlicesLocked(std::vector<TableSlice>* slices,
     // per-table applies is repaired by replay. A single-table batch needs
     // no journal — its one WAL record is already atomic.
     if (slices->size() > 1) {
-      std::vector<uint8_t> body;
-      body.resize(4);
-      PutU32(body.data(), static_cast<uint32_t>(slices->size()));
+      // One journal record, u32 body_bytes ‖ body ‖ u32 CRC32C, built in
+      // one buffer so it reaches the OS in one append. The body starts
+      // with u32 num_tables.
+      std::vector<uint8_t> record(8);
+      PutU32(record.data() + 4, static_cast<uint32_t>(slices->size()));
       for (const TableSlice& slice : *slices) {
-        const size_t at = body.size();
-        body.resize(at + JournalSectionBytes(slice.name, slice.ops.size()));
-        uint8_t* p = body.data() + at;
+        const size_t at = record.size();
+        record.resize(at + JournalSectionBytes(slice.name, slice.ops.size()));
+        uint8_t* p = record.data() + at;
         p[0] = static_cast<uint8_t>(slice.name.size() & 0xFF);
         p[1] = static_cast<uint8_t>(slice.name.size() >> 8);
         p += 2;
@@ -728,31 +705,27 @@ Status SfcDb::CommitSlicesLocked(std::vector<TableSlice>* slices,
           p += kWalOpBytes;
         }
       }
+      const size_t body_bytes = record.size() - 4;
+      PutU32(record.data(), static_cast<uint32_t>(body_bytes));
+      record.resize(record.size() + 4);
+      PutU32(record.data() + 4 + body_bytes,
+             Crc32c(record.data() + 4, body_bytes));
       // Bound the journal: every record already on disk is known-applied
       // (its table WAL appends returned before its commit was
       // acknowledged), so truncating between commits loses nothing —
       // UNLESS a mid-batch apply failure left a journaled record
       // un-applied, in which case that record is the only repair copy
       // and truncation must wait for the next Open's replay.
-      if (batch_log_ != nullptr && !batch_log_needs_replay_ &&
+      if (batch_log_.is_open() && !batch_log_needs_replay_ &&
           batch_log_bytes_ > kBatchLogTruncateBytes) {
         status = ResetBatchLogLocked();
       }
-      if (status.ok() && batch_log_ == nullptr) {
+      if (status.ok() && !batch_log_.is_open()) {
         status = ResetBatchLogLocked();
       }
       if (status.ok()) {
-        uint8_t frame[4];
-        PutU32(frame, static_cast<uint32_t>(body.size()));
-        uint8_t crc[4];
-        PutU32(crc, Crc32c(body.data(), body.size()));
-        if (std::fwrite(frame, 1, 4, batch_log_) != 4 ||
-            std::fwrite(body.data(), 1, body.size(), batch_log_) !=
-                body.size() ||
-            std::fwrite(crc, 1, 4, batch_log_) != 4 ||
-            std::fflush(batch_log_) != 0) {
-          status = Status::Internal("batch journal append failed: " +
-                                    BatchLogPath());
+        status = batch_log_.Append(record.data(), record.size());
+        if (!status.ok()) {
           // The failed write may have left a torn record at the tail; a
           // later acknowledged commit appended after it would be
           // unreachable at recovery (replay stops at the first torn
@@ -764,18 +737,17 @@ Status SfcDb::CommitSlicesLocked(std::vector<TableSlice>* slices,
           if (batch_log_needs_replay_) {
             batch_log_poisoned_ = true;
           } else {
-            std::fclose(batch_log_);
-            batch_log_ = nullptr;
+            batch_log_.Close();
           }
         } else {
-          batch_log_bytes_ += 8 + body.size();
-          *journal_bytes = 8 + body.size();
+          batch_log_bytes_ += record.size();
+          *journal_bytes = record.size();
           // The cross-table commit point must not be able to reach disk
           // AFTER a table slice it repairs: under wal_fsync (power-loss
           // durability) sync the journal record BEFORE any table WAL
           // append — a concurrent committer's group fsync could
           // otherwise persist a slice first.
-          if (want_fsync) status = SyncFile(batch_log_, BatchLogPath());
+          if (want_fsync) status = batch_log_.Sync();
         }
       }
     }
@@ -1312,10 +1284,7 @@ Status SfcDb::Close() {
   }
   open_tables_.clear();  // destroy handles while workers_ is still alive
   workers_.reset();      // join the shared background threads
-  if (batch_log_ != nullptr) {
-    std::fclose(batch_log_);
-    batch_log_ = nullptr;
-  }
+  batch_log_.Close();
   return first;
 }
 

@@ -72,7 +72,6 @@
 #ifndef ONION_STORAGE_SFC_DB_H_
 #define ONION_STORAGE_SFC_DB_H_
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -86,6 +85,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
+#include "storage/file.h"
 #include "storage/index_spec.h"
 #include "storage/sfc_table.h"
 #include "storage/worker_pool.h"
@@ -392,7 +392,7 @@ class SfcDb {
   // const DumpMetrics can read batch_log_bytes_.
   mutable Mutex batch_mu_ ONION_ACQUIRED_BEFORE(db_mu_);
   // Lazily created on first use.
-  std::FILE* batch_log_ ONION_GUARDED_BY(batch_mu_) = nullptr;
+  File batch_log_ ONION_GUARDED_BY(batch_mu_);
   uint64_t batch_log_bytes_ ONION_GUARDED_BY(batch_mu_) = 0;
   // A journaled record failed to apply to every table: it is the only
   // repair copy, so truncation is disabled until the next Open replays

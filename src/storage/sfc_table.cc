@@ -1,30 +1,31 @@
 #include "storage/sfc_table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <limits>
+#include <set>
+#include <sstream>
 #include <utility>
 
 #include "index/decompose.h"
 #include "sfc/registry.h"
 #include "storage/compaction.h"
-#include "storage/fs_util.h"
+#include "storage/file.h"
 
 namespace onion::storage {
 namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestFormat[] = "onion-sfc-table";
-// Version 4 adds the `last_sequence` line (the MVCC sequence fence: the
-// newest sequence number durably in segments). Version 3 added the
-// `codec` and `filter_bits_per_key` lines (segment format v2); version 2
-// added the per-segment level and the WAL floor; version 1 manifests (no
-// levels, no WALs) are still readable — their segments all load as level
-// 0. Older versions default the missing fields (last_sequence 0, the
-// caller's codec options) and are rewritten as version 4 on the next
-// flush or compaction.
-constexpr int kManifestVersion = 4;
+// The only version this build writes and reads; byte-level spec in
+// docs/storage_format.md.
+constexpr uint32_t kManifestVersion = 4;
+/// Deepest level a MANIFEST may name. Level targets grow at least 2x per
+/// level, so real tables stay far below it; the cap keeps a corrupt level
+/// from sizing the level vector.
+constexpr int kMaxLevel = 64;
 
 constexpr char kWalPrefix[] = "wal_";
 constexpr char kWalSuffix[] = ".log";
@@ -58,6 +59,109 @@ Status ValidateOptions(const SfcTableOptions& options) {
   }
   if (options.filter_bits_per_key > 64) {
     return Status::InvalidArgument("filter_bits_per_key must be <= 64");
+  }
+  return Status::OK();
+}
+
+/// Parses an unsigned decimal that must fill `text` and fit in T.
+template <typename T>
+bool ParseUnsigned(const std::string& text, T* out) {
+  uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end ||
+      value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+/// Everything a MANIFEST records.
+struct Manifest {
+  std::string curve_name;
+  int dims = 0;
+  Coord side = 0;
+  uint32_t entries_per_page = 0;
+  PageCodec codec = PageCodec::kRaw;
+  uint32_t filter_bits_per_key = 0;
+  uint64_t next_segment_id = 0;
+  uint64_t wal_floor = 0;
+  uint64_t last_sequence = 0;
+  std::vector<std::pair<int, std::string>> segments;  // (level, file)
+};
+
+/// Parses MANIFEST text line by line. Every line is a field name and its
+/// values; every value must parse in full, every field but `segment` must
+/// appear exactly once, and anything else is InvalidArgument naming the
+/// offending line.
+Status ParseManifest(const std::string& text, const std::string& dir,
+                     Manifest* out) {
+  std::istringstream lines(text);
+  std::string line;
+  std::vector<std::string> fields;
+  const auto split = [&fields](const std::string& text_line) {
+    fields.clear();
+    std::istringstream in(text_line);
+    for (std::string field; in >> field;) fields.push_back(field);
+  };
+  std::getline(lines, line);
+  split(line);
+  if (fields.size() != 2 || fields[0] != kManifestFormat) {
+    return Status::InvalidArgument("bad manifest format in " + dir);
+  }
+  uint32_t version = 0;
+  if (!ParseUnsigned(fields[1], &version) || version != kManifestVersion) {
+    return Status::InvalidArgument(
+        "unsupported manifest version " + fields[1] + " (this build reads "
+        "version " + std::to_string(kManifestVersion) + " only) in " + dir);
+  }
+  std::set<std::string> seen;
+  while (std::getline(lines, line)) {
+    split(line);
+    bool ok = false;
+    if (!fields.empty() && fields[0] == "segment") {
+      int level = 0;
+      ok = fields.size() == 3 && ParseUnsigned(fields[1], &level) &&
+           level <= kMaxLevel;
+      if (ok) out->segments.emplace_back(level, fields[2]);
+    } else if (fields.size() == 2 && seen.insert(fields[0]).second) {
+      const std::string& field = fields[0];
+      const std::string& value = fields[1];
+      if (field == "curve") {
+        out->curve_name = value;
+        ok = true;
+      } else if (field == "dims") {
+        ok = ParseUnsigned(value, &out->dims);
+      } else if (field == "side") {
+        ok = ParseUnsigned(value, &out->side);
+      } else if (field == "entries_per_page") {
+        ok = ParseUnsigned(value, &out->entries_per_page);
+      } else if (field == "codec") {
+        ok = ParsePageCodec(value, &out->codec);
+      } else if (field == "filter_bits_per_key") {
+        ok = ParseUnsigned(value, &out->filter_bits_per_key);
+      } else if (field == "next_segment_id") {
+        ok = ParseUnsigned(value, &out->next_segment_id);
+      } else if (field == "wal_floor") {
+        ok = ParseUnsigned(value, &out->wal_floor);
+      } else if (field == "last_sequence") {
+        ok = ParseUnsigned(value, &out->last_sequence);
+      }
+    }
+    if (!ok) {
+      return Status::InvalidArgument("bad manifest line '" + line + "' in " +
+                                     dir);
+    }
+  }
+  for (const char* required :
+       {"curve", "dims", "side", "entries_per_page", "codec",
+        "filter_bits_per_key", "next_segment_id", "wal_floor",
+        "last_sequence"}) {
+    if (seen.count(required) == 0) {
+      return Status::InvalidArgument(std::string("manifest lacks the '") +
+                                     required + "' line in " + dir);
+    }
   }
   return Status::OK();
 }
@@ -199,30 +303,6 @@ std::string SfcTable::ManifestTextLocked() const {
   return text;
 }
 
-Status SfcTable::WriteManifestFile(const std::string& text) const {
-  const std::string tmp_path = dir_ + "/" + kManifestName + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::Internal("cannot write manifest: " + tmp_path);
-  }
-  Status status;
-  if (std::fwrite(text.data(), 1, text.size(), out) != text.size()) {
-    status = Status::Internal("cannot write manifest: " + tmp_path);
-  }
-  if (status.ok()) status = SyncFile(out, tmp_path);
-  std::fclose(out);
-  if (!status.ok()) {
-    std::remove(tmp_path.c_str());
-    return status;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, dir_ + "/" + kManifestName, ec);
-  if (ec) {
-    return Status::Internal("cannot install manifest: " + ec.message());
-  }
-  return SyncDir(dir_);
-}
-
 Status SfcTable::InstallManifest() {
   // Requires mu_ held on entry and returns with it held, but does the
   // expensive part (tmp write + two fsyncs + rename) WITHOUT it, so
@@ -240,7 +320,7 @@ Status SfcTable::InstallManifest() {
   mu_.Lock();
   const std::string text = ManifestTextLocked();
   mu_.Unlock();
-  const Status status = WriteManifestFile(text);
+  const Status status = WriteFileAtomic(dir_ + "/" + kManifestName, text);
   mu_.Lock();
   return status;
 }
@@ -332,9 +412,7 @@ Result<std::unique_ptr<SfcTable>> SfcTable::CreateWithShared(
     status = table->InstallManifest();
   }
   if (!status.ok()) return status;
-  // The table group-commits fsyncs itself (see Insert), so the writer is
-  // always created in flush-to-OS mode.
-  auto wal = WalWriter::Create(table->WalPath(0), /*fsync_each_append=*/false);
+  auto wal = WalWriter::Create(table->WalPath(0));
   if (!wal.ok()) return wal.status();
   table->wal_ = std::move(wal).value();
   table->wal_->set_metrics(table->TableWalMetrics());
@@ -350,95 +428,37 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     const SharedResources& shared) {
   const Status valid = ValidateOptions(options);
   if (!valid.ok()) return valid;
-  std::ifstream in(dir + "/" + kManifestName);
-  if (!in) {
-    return Status::NotFound("no table manifest in " + dir);
-  }
-  std::string format;
-  int version = 0;
-  in >> format >> version;
-  if (!in || format != kManifestFormat) {
-    return Status::InvalidArgument("bad manifest format in " + dir);
-  }
-  if (version < 1 || version > kManifestVersion) {
-    return Status::InvalidArgument("unsupported manifest version " +
-                                   std::to_string(version) + " in " + dir);
-  }
-  std::string curve_name;
-  int dims = 0;
-  Coord side = 0;
-  uint32_t entries_per_page = 0;
-  uint64_t next_segment_id = 0;
-  uint64_t wal_floor = 0;
-  uint64_t last_sequence = 0;
-  PageCodec codec = PageCodec::kRaw;
-  bool has_codec = false;
-  uint32_t filter_bits_per_key = 0;
-  bool has_filter_bits = false;
-  std::vector<std::pair<int, std::string>> segment_files;  // (level, file)
-  std::string field;
-  while (in >> field) {
-    if (field == "curve") {
-      in >> curve_name;
-    } else if (field == "dims") {
-      in >> dims;
-    } else if (field == "side") {
-      in >> side;
-    } else if (field == "entries_per_page") {
-      in >> entries_per_page;
-    } else if (field == "codec") {
-      std::string codec_name;
-      in >> codec_name;
-      if (!ParsePageCodec(codec_name, &codec)) {
-        return Status::InvalidArgument("unknown manifest codec '" +
-                                       codec_name + "' in " + dir);
-      }
-      has_codec = true;
-    } else if (field == "filter_bits_per_key") {
-      in >> filter_bits_per_key;
-      has_filter_bits = true;
-    } else if (field == "next_segment_id") {
-      in >> next_segment_id;
-    } else if (field == "wal_floor") {
-      in >> wal_floor;
-    } else if (field == "last_sequence") {
-      in >> last_sequence;
-    } else if (field == "segment") {
-      int level = 0;
-      std::string file;
-      if (version >= 2) in >> level;
-      in >> file;
-      if (level < 0) {
-        return Status::InvalidArgument("negative segment level in " + dir);
-      }
-      segment_files.emplace_back(level, file);
-    } else {
-      return Status::InvalidArgument("unknown manifest field '" + field +
-                                     "' in " + dir);
+  auto text = ReadFileBytes(dir + "/" + kManifestName);
+  if (!text.ok()) {
+    if (text.status().code() == StatusCode::kNotFound) {
+      return Status::NotFound("no table manifest in " + dir);
     }
+    return text.status();
   }
-  if (curve_name.empty() || dims < 1 || side < 1 || entries_per_page < 1) {
-    return Status::InvalidArgument("incomplete manifest in " + dir);
+  Manifest manifest;
+  const Status parsed = ParseManifest(text.value(), dir, &manifest);
+  if (!parsed.ok()) return parsed;
+  if (manifest.dims < 1 || manifest.side < 1) {
+    return Status::InvalidArgument("bad manifest geometry in " + dir);
   }
 
-  auto curve = MakeCurve(curve_name, Universe(dims, side));
+  auto curve =
+      MakeCurve(manifest.curve_name, Universe(manifest.dims, manifest.side));
   if (!curve.ok()) return curve.status();
+  // Page geometry, codec and filter budget are properties of the table on
+  // disk, not of the caller.
   SfcTableOptions effective = options;
-  // Page geometry — and, since manifest v3, the codec and filter budget —
-  // are properties of the table on disk, not of the caller. Manifests
-  // older than v3 lack the codec lines; those tables adopt the caller's
-  // options and record them on the next manifest write.
-  effective.entries_per_page = entries_per_page;
-  if (has_codec) effective.codec = codec;
-  if (has_filter_bits) effective.filter_bits_per_key = filter_bits_per_key;
+  effective.entries_per_page = manifest.entries_per_page;
+  effective.codec = manifest.codec;
+  effective.filter_bits_per_key = manifest.filter_bits_per_key;
   const Status revalid = ValidateOptions(effective);
   if (!revalid.ok()) return revalid;
   std::unique_ptr<SfcTable> table(
       new SfcTable(dir, std::move(curve).value(), effective, shared));
-  table->next_segment_id_ = next_segment_id;
-  table->wal_floor_ = wal_floor;
-  table->flushed_seq_ = last_sequence;
-  for (const auto& [level, file] : segment_files) {
+  table->next_segment_id_ = manifest.next_segment_id;
+  table->wal_floor_ = manifest.wal_floor;
+  table->flushed_seq_ = manifest.last_sequence;
+  for (const auto& [level, file] : manifest.segments) {
     auto reader = SegmentReader::Open(table->SegmentPath(file));
     if (!reader.ok()) return reader.status();
     TableSegment segment{std::move(reader).value(), file, level};
@@ -479,22 +499,18 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
   std::sort(wal_files.begin(), wal_files.end());
   uint64_t max_seen_id = 0;
   // Recovered sequence watermark: starts at the manifest's last_sequence
-  // (everything in segments) and advances over replayed WAL ops. Ops of
-  // version-1 WALs carry no sequence (they surface as 0) and get fresh
-  // ones synthesized in replay order — they predate snapshots, so any
-  // assignment preserving order is correct.
-  uint64_t recovered_seq = last_sequence;
+  // (everything in segments) and advances over replayed WAL ops.
+  uint64_t recovered_seq = manifest.last_sequence;
   for (size_t i = 0; i < wal_files.size(); ++i) {
     const auto& [id, name] = wal_files[i];
     max_seen_id = std::max(max_seen_id, id);
-    if (id < wal_floor) {
+    if (id < manifest.wal_floor) {
       std::remove((dir + "/" + name).c_str());  // fenced: pure GC
       continue;
     }
     auto replayed = ReplayWal(
         dir + "/" + name,
         [&](Key key, uint64_t payload, uint64_t sequence, bool tombstone) {
-          if (sequence == 0) sequence = recovered_seq + 1;  // synthesized
           recovered_seq = std::max(recovered_seq, sequence);
           table->memtable_.Insert(key, payload, PackSeq(sequence, tombstone));
         });
@@ -510,13 +526,12 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
     table->wal_files_.push_back(name);
   }
   table->max_wal_id_ = max_seen_id;
-  table->next_wal_id_ = std::max(wal_floor, max_seen_id + 1);
+  table->next_wal_id_ = std::max(manifest.wal_floor, max_seen_id + 1);
   table->next_seq_ = recovered_seq + 1;
   table->last_applied_seq_.store(recovered_seq, std::memory_order_release);
 
   const uint64_t active_id = table->next_wal_id_++;
-  auto wal = WalWriter::Create(table->WalPath(active_id),
-                               /*fsync_each_append=*/false);
+  auto wal = WalWriter::Create(table->WalPath(active_id));
   if (!wal.ok()) return wal.status();
   table->wal_ = std::move(wal).value();
   table->wal_->set_metrics(table->TableWalMetrics());
@@ -573,7 +588,6 @@ std::vector<SegmentInfo> SfcTable::SegmentInfos() const {
                                 segment.reader->max_key(),
                                 segment.reader->num_entries(),
                                 segment.reader->file_bytes(),
-                                segment.reader->format_version(),
                                 segment.reader->codec(),
                                 segment.reader->filter_bytes()});
   };
@@ -634,7 +648,7 @@ Status SfcTable::ApplyOpsWalLocked(const WalOp* ops, size_t count,
   *used_wal = wal_;  // stable: wal_mu_ (held by the caller) excludes rotation
   lock.Unlock();
   // The WAL file I/O runs with mu_ RELEASED — readers are never stalled
-  // behind a record's fflush. One record per commit: replay is
+  // behind a record's write. One record per commit: replay is
   // all-or-nothing for the whole op batch.
   const Status status =
       (*used_wal)->AppendBatch(ops, count, first_seq, out_record);
@@ -793,7 +807,7 @@ Status SfcTable::RotateMemtableLocked(uint64_t min_entries) {
   // Open the next WAL first: if that fails, the current generation stays
   // fully intact and writable.
   const uint64_t id = next_wal_id_;
-  auto wal = WalWriter::Create(WalPath(id), /*fsync_each_append=*/false);
+  auto wal = WalWriter::Create(WalPath(id));
   if (!wal.ok()) return wal.status();
   ++next_wal_id_;
   PendingMemtable batch;

@@ -171,10 +171,9 @@ struct SegmentInfo {
   Key min_key = 0;
   Key max_key = 0;
   uint64_t num_entries = 0;
-  /// Real on-disk footprint and format of the segment file, so space
+  /// Real on-disk footprint and codec of the segment file, so space
   /// savings from the page codec are observable per segment.
   uint64_t disk_bytes = 0;
-  uint32_t format_version = 0;
   PageCodec codec = PageCodec::kRaw;
   uint64_t filter_bytes = 0;
 };
@@ -448,7 +447,6 @@ class SfcTable {
   void RunCompactionLocked() ONION_REQUIRES(mu_);
   bool HasAutoCompactionWorkLocked() const ONION_REQUIRES_SHARED(mu_);
   std::string ManifestTextLocked() const ONION_REQUIRES_SHARED(mu_);
-  Status WriteManifestFile(const std::string& text) const ONION_EXCLUDES(mu_);
   Status InstallManifest() ONION_REQUIRES(mu_) ONION_EXCLUDES(manifest_mu_);
   void SetBackgroundErrorLocked(const Status& status) ONION_REQUIRES(mu_);
   /// Drops retired readers/pool frames and returns the file paths to

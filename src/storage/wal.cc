@@ -1,33 +1,22 @@
 #include "storage/wal.h"
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "storage/codec.h"
 #include "storage/crc32c.h"
-#include "storage/fs_util.h"
 
 namespace onion::storage {
 namespace {
 
 constexpr char kWalMagic[8] = {'O', 'S', 'F', 'C', 'W', 'A', 'L', '1'};
-constexpr uint32_t kWalVersion = 2;  // what WalWriter emits
+constexpr uint32_t kWalVersion = 2;  // the only version this build reads
 constexpr uint64_t kWalHeaderBytes = 16;
 
-// Version-2 record geometry (per-op layout: kWalOpBytes in wal.h).
+// Record geometry (per-op layout: kWalOpBytes in wal.h).
 constexpr uint64_t kRecordPrefixBytes = 12;  // u32 num_ops + u64 first_seq
 constexpr uint64_t kRecordCrcBytes = 4;
-
-// Version-1 record geometry (fixed single-put records).
-constexpr uint64_t kV1RecordBytes = 24;
-
-/// The version-1 record checksum, kept verbatim for replay compatibility.
-uint64_t V1RecordChecksum(uint64_t key, uint64_t payload) {
-  uint64_t sum = 0x0410105fc5a10ULL;  // salt, distinct from the segment's
-  sum ^= Rotl64(key, 17);
-  sum ^= Rotl64(payload, 31);
-  return sum;
-}
 
 }  // namespace
 
@@ -45,31 +34,25 @@ WalOp DecodeWalOp(const uint8_t* in) {
   return op;
 }
 
-WalWriter::WalWriter(std::string path, std::FILE* file, bool fsync_each_append)
-    : path_(std::move(path)), file_(file),
-      fsync_each_append_(fsync_each_append) {}
+WalWriter::WalWriter(std::string path, File file)
+    : path_(std::move(path)), file_(std::move(file)) {}
 
-WalWriter::~WalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+WalWriter::~WalWriter() = default;
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Create(std::string path,
-                                                     bool fsync_each_append) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::Internal("cannot create WAL file: " + path);
-  }
+Result<std::unique_ptr<WalWriter>> WalWriter::Create(std::string path) {
+  auto file = File::Create(path);
+  if (!file.ok()) return file.status();
   uint8_t header[kWalHeaderBytes] = {};
   std::memcpy(header, kWalMagic, sizeof(kWalMagic));
   PutU32(header + 8, kWalVersion);
-  if (std::fwrite(header, 1, kWalHeaderBytes, file) != kWalHeaderBytes ||
-      std::fflush(file) != 0) {
-    std::fclose(file);
+  const Status status = file.value().Append(header, kWalHeaderBytes);
+  if (!status.ok()) {
+    file.value().Close();
     std::remove(path.c_str());
-    return Status::Internal("cannot write WAL header: " + path);
+    return status;
   }
   return std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(path), file, fsync_each_append));
+      new WalWriter(std::move(path), std::move(file).value()));
 }
 
 Status WalWriter::AppendBatch(const WalOp* ops, size_t count,
@@ -92,15 +75,8 @@ Status WalWriter::AppendBatch(const WalOp* ops, size_t count,
   }
   const size_t body = record.size() - kRecordCrcBytes;
   PutU32(record.data() + body, Crc32c(record.data(), body));
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size() ||
-      std::fflush(file_) != 0) {
-    return status_ = Status::Internal("WAL append failed: " + path_);
-  }
-  if (fsync_each_append_) {
-    const obs::ScopedTimer fsync_timer(metrics_.fsync_us);
-    const Status status = SyncFile(file_, path_);
-    if (!status.ok()) return status_ = status;
-  }
+  const Status status = file_.Append(record.data(), record.size());
+  if (!status.ok()) return status_ = status;
   ++num_records_;
   // Publish for SyncUpTo: record num_records_ has reached the OS.
   appended_record_.store(num_records_, std::memory_order_release);
@@ -110,7 +86,7 @@ Status WalWriter::AppendBatch(const WalOp* ops, size_t count,
 
 Status WalWriter::Sync() {
   const obs::ScopedTimer fsync_timer(metrics_.fsync_us);
-  return SyncFile(file_, path_);
+  return file_.Sync();
 }
 
 Status WalWriter::SyncUpTo(uint64_t record) {
@@ -125,7 +101,7 @@ Status WalWriter::SyncUpTo(uint64_t record) {
     sync_cv_.Wait(sync_mu_);
   }
   sync_inflight_ = true;
-  // Everything appended (and stdio-flushed) so far rides this one fsync —
+  // Everything appended so far rides this one fsync —
   // including records of followers currently blocking on sync_mu_.
   const uint64_t target = appended_record_.load(std::memory_order_acquire);
   const uint64_t synced_before = synced_record_;
@@ -133,7 +109,7 @@ Status WalWriter::SyncUpTo(uint64_t record) {
   Status status;
   {
     const obs::ScopedTimer fsync_timer(metrics_.fsync_us);
-    status = SyncFile(file_, path_);
+    status = file_.Sync();
   }
   lock.Lock();
   sync_inflight_ = false;
@@ -156,65 +132,40 @@ Status WalWriter::SyncUpTo(uint64_t record) {
 Result<uint64_t> ReplayWal(
     const std::string& path,
     const std::function<void(Key, uint64_t, uint64_t, bool)>& fn) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open WAL file: " + path);
-  }
-  uint8_t header[kWalHeaderBytes];
-  if (std::fread(header, 1, kWalHeaderBytes, file) != kWalHeaderBytes ||
-      std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    std::fclose(file);
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  const auto* p = reinterpret_cast<const uint8_t*>(bytes.value().data());
+  const uint8_t* const end = p + bytes.value().size();
+  if (end - p < static_cast<ptrdiff_t>(kWalHeaderBytes) ||
+      std::memcmp(p, kWalMagic, sizeof(kWalMagic)) != 0) {
     return Status::InvalidArgument("bad WAL header: " + path);
   }
-  const uint32_t version = GetU32(header + 8);
-  if (version != 1 && version != 2) {
-    std::fclose(file);
-    return Status::InvalidArgument("unsupported WAL version " +
-                                   std::to_string(version) + ": " + path);
+  const uint32_t version = GetU32(p + 8);
+  if (version != kWalVersion) {
+    return Status::InvalidArgument(
+        "unsupported WAL version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kWalVersion) +
+        " only): " + path);
   }
+  p += kWalHeaderBytes;
   uint64_t replayed = 0;
-  if (version == 1) {
-    // Legacy fixed-size single-put records; no sequence on disk — the
-    // caller synthesizes them in replay order.
-    uint8_t record[kV1RecordBytes];
-    while (std::fread(record, 1, kV1RecordBytes, file) == kV1RecordBytes) {
-      const uint64_t key = GetU64(record);
-      const uint64_t payload = GetU64(record + 8);
-      // A checksum mismatch means the record (and everything after it) is
-      // the torn tail of an interrupted append — stop, keeping what came
-      // before.
-      if (GetU64(record + 16) != V1RecordChecksum(key, payload)) break;
-      fn(key, payload, /*sequence=*/0, /*tombstone=*/false);
-      ++replayed;
-    }
-    std::fclose(file);
-    return replayed;
-  }
-  std::vector<uint8_t> record;
-  for (;;) {
-    uint8_t prefix[kRecordPrefixBytes];
-    if (std::fread(prefix, 1, kRecordPrefixBytes, file) !=
-        kRecordPrefixBytes) {
-      break;  // clean EOF or torn prefix
-    }
-    const uint32_t num_ops = GetU32(prefix);
-    if (num_ops == 0 || num_ops > kMaxWalRecordOps) break;  // torn/corrupt
-    const uint64_t first_sequence = GetU64(prefix + 4);
-    const size_t rest = num_ops * kWalOpBytes + kRecordCrcBytes;
-    record.resize(rest);
-    if (std::fread(record.data(), 1, rest, file) != rest) break;  // torn
-    const uint32_t crc =
-        Crc32c(Crc32c(prefix, kRecordPrefixBytes), record.data(),
-               rest - kRecordCrcBytes);
-    if (GetU32(record.data() + rest - kRecordCrcBytes) != crc) break;
+  // A short, oversized or corrupt record is the torn tail of an
+  // interrupted append: stop there, keeping everything before it.
+  while (end - p >= static_cast<ptrdiff_t>(kRecordPrefixBytes)) {
+    const uint32_t num_ops = GetU32(p);
+    if (num_ops == 0 || num_ops > kMaxWalRecordOps) break;
+    const uint64_t first_sequence = GetU64(p + 4);
+    const size_t body = kRecordPrefixBytes + num_ops * kWalOpBytes;
+    if (static_cast<size_t>(end - p) < body + kRecordCrcBytes) break;
+    if (GetU32(p + body) != Crc32c(p, body)) break;
     // The record is whole: surface every op — the all-or-nothing unit.
     for (uint32_t i = 0; i < num_ops; ++i) {
-      const WalOp op = DecodeWalOp(record.data() + i * kWalOpBytes);
+      const WalOp op = DecodeWalOp(p + kRecordPrefixBytes + i * kWalOpBytes);
       fn(op.key, op.payload, first_sequence + i, op.tombstone);
       ++replayed;
     }
+    p += body + kRecordCrcBytes;
   }
-  std::fclose(file);
   return replayed;
 }
 

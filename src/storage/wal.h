@@ -15,7 +15,7 @@
 //
 //   offset 0   header, 16 bytes:
 //     [0]  magic "OSFCWAL1"
-//     [8]  u32 format version (currently 2)
+//     [8]  u32 format version (2)
 //     [12] u32 reserved (zero)
 //   offset 16  variable-length records, appended in commit order:
 //     [0]  u32 num_ops (>= 1)
@@ -24,26 +24,23 @@
 //            u8 type (0 = put, 1 = delete), u64 key, u64 payload
 //     [..] u32 CRC32C over everything above (num_ops through the last op)
 //
-// Version-1 files (fixed 24-byte single-put records, xor-rotate checksum,
-// no sequence numbers) remain replayable forever: their ops surface with
-// sequence 0 and the caller synthesizes fresh sequences in replay order.
+// A build replays only the version it writes; any other version is
+// rejected with Status::InvalidArgument naming the version.
 //
 // Replay validates each record's checksum and treats the first short or
 // corrupt record as the torn tail of an interrupted append: everything
 // before it is recovered, everything from it on is discarded — which is
-// exactly what makes a multi-op record an atomic commit. Appends are
-// fflush()ed to the OS on every record (survives process death); fsync
-// (survives power loss) is either per-append (`fsync_each_append`) or —
-// the path SfcTable uses under SfcTableOptions::wal_fsync —
-// group-committed via SyncUpTo(): concurrent committers pile up behind
-// one leader whose single fsync covers every record appended so far, so N
+// exactly what makes a multi-op record an atomic commit. Every record is
+// one write(2) to the OS (survives process death); fsync (survives power
+// loss) is group-committed via SyncUpTo() — the path SfcTable uses under
+// SfcTableOptions::wal_fsync: concurrent committers pile up behind one
+// leader whose single fsync covers every record appended so far, so N
 // threads pay ~1 fsync instead of N.
 
 #ifndef ONION_STORAGE_WAL_H_
 #define ONION_STORAGE_WAL_H_
 
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,6 +51,7 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "sfc/types.h"
+#include "storage/file.h"
 
 namespace onion::storage {
 
@@ -66,7 +64,7 @@ struct WalOp {
 };
 
 /// On-disk size of one encoded op: u8 type + u64 key + u64 payload. The
-/// SAME layout is used by WAL v2 records and the SfcDb batch journal —
+/// SAME layout is used by WAL records and the SfcDb batch journal —
 /// both go through the two helpers below, so the formats cannot drift.
 inline constexpr uint64_t kWalOpBytes = 17;
 /// Sanity cap on ops per record/journal slice; larger counts on disk are
@@ -83,10 +81,10 @@ WalOp DecodeWalOp(const uint8_t* in);
 /// writer they are wired into (SfcTable wires its own registry's, which
 /// lives as long as the table).
 struct WalMetrics {
-  /// AppendBatch duration (encode + fwrite + fflush), microseconds.
+  /// AppendBatch duration (encode + write), microseconds.
   obs::Histogram* append_us = nullptr;
-  /// Physical fsync duration, microseconds (SyncUpTo leader fsyncs,
-  /// Sync(), and per-append fsyncs alike).
+  /// Physical fsync duration, microseconds (SyncUpTo leader fsyncs and
+  /// Sync() alike).
   obs::Histogram* fsync_us = nullptr;
   /// Records covered per group-commit fsync — the group-commit win: with
   /// concurrent committers the p50 climbs above 1.
@@ -96,11 +94,8 @@ struct WalMetrics {
 class WalWriter {
  public:
   /// Creates a new WAL file at `path` (truncating any stale one) and writes
-  /// the header. When `fsync_each_append` is set every append is fsynced
-  /// inline (simple, but serializes committers; prefer AppendBatch +
-  /// SyncUpTo for concurrent writers).
-  static Result<std::unique_ptr<WalWriter>> Create(std::string path,
-                                                   bool fsync_each_append);
+  /// the header.
+  static Result<std::unique_ptr<WalWriter>> Create(std::string path);
 
   /// Wires the latency sinks. Call before the first append (the table
   /// does it right after Create, while the writer is still private).
@@ -111,8 +106,8 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends `count` ops as ONE record — the atomic commit unit: replay
-  /// surfaces all of them or none — and flushes it to the OS (plus fsync
-  /// when configured). Op i carries sequence number `first_sequence + i`.
+  /// surfaces all of them or none — and writes it to the OS in one
+  /// write. Op i carries sequence number `first_sequence + i`.
   /// The record is replayable as soon as this returns OK. Callers must
   /// serialize appends externally (SfcTable uses its writer mutex);
   /// `out_record`, when non-null, receives the record's 1-based index for
@@ -151,17 +146,16 @@ class WalWriter {
   const std::string& path() const { return path_; }
 
  private:
-  WalWriter(std::string path, std::FILE* file, bool fsync_each_append);
+  WalWriter(std::string path, File file);
 
   std::string path_;
-  // file_, num_records_, status_, and record_scratch_ are mutated only by
+  // num_records_, status_, and record_scratch_ are mutated only by
   // AppendBatch, whose callers serialize externally (SfcTable's writer
   // mutex) — no mutex of this class guards them, which is WHY observers
-  // must go through the published atomics below. file_ is additionally
-  // read by SyncUpTo's leader fsync: fsync(fd) is kernel-serialized
-  // against concurrent appends, and the fd itself is set once in Create.
-  std::FILE* file_;
-  bool fsync_each_append_;
+  // must go through the published atomics below. file_ is set once in
+  // Create; AppendBatch writes through it while SyncUpTo's leader fsyncs
+  // it, which the kernel serializes.
+  File file_;
   WalMetrics metrics_;  // set once before the first append
   uint64_t num_records_ = 0;
   Status status_;  // first append error, sticky
@@ -182,9 +176,8 @@ class WalWriter {
 
 /// Replays the complete records of the WAL at `path` into `fn` — invoked
 /// once per op as fn(key, payload, sequence, tombstone), in append order —
-/// stopping silently at a torn tail. Ops of version-1 files carry
-/// sequence 0 (the caller synthesizes). Returns the number of OPS
-/// replayed, or an error if the file is missing or its header is invalid.
+/// stopping silently at a torn tail. Returns the number of OPS replayed,
+/// or an error if the file is missing or its header is invalid.
 Result<uint64_t> ReplayWal(
     const std::string& path,
     const std::function<void(Key, uint64_t, uint64_t, bool)>& fn);

@@ -1,4 +1,4 @@
-// Property-style tests for the segment-v2 page codecs and the split-block
+// Property-style tests for the segment page codecs and the split-block
 // bloom filter: random sorted pages (with duplicate keys, max-u64 keys,
 // single-entry and full pages) must round-trip byte-exactly through every
 // codec; malformed buffers must be rejected, not crash; the bloom filter
@@ -20,23 +20,15 @@ namespace {
 
 const PageCodec kAllCodecs[] = {PageCodec::kRaw, PageCodec::kDeltaVarint,
                                 PageCodec::kBitpack};
-const bool kSeqModes[] = {false, true};
-
-std::vector<Entry> RoundTrip(PageCodec codec, bool with_seqs,
+std::vector<Entry> RoundTrip(PageCodec codec,
                              const std::vector<Entry>& entries) {
   std::vector<uint8_t> bytes;
-  EncodePage(codec, entries, with_seqs, &bytes);
+  EncodePage(codec, entries, &bytes);
   std::vector<Entry> decoded;
   EXPECT_TRUE(DecodePage(codec, bytes.data(), bytes.size(), entries.size(),
-                         with_seqs, &decoded))
-      << PageCodecName(codec) << " with_seqs=" << with_seqs;
+                         &decoded))
+      << PageCodecName(codec);
   return decoded;
-}
-
-/// Strips seqs (the pair layout cannot round-trip them).
-std::vector<Entry> WithoutSeqs(std::vector<Entry> entries) {
-  for (Entry& entry : entries) entry.seq = 0;
-  return entries;
 }
 
 TEST(PageCodecTest, NamesRoundTrip) {
@@ -73,9 +65,7 @@ TEST(PageCodecTest, RandomSortedPagesRoundTrip) {
                 [](const Entry& a, const Entry& b) { return a.key < b.key; });
     }
     for (const PageCodec codec : kAllCodecs) {
-      EXPECT_EQ(RoundTrip(codec, true, entries), entries);
-      EXPECT_EQ(RoundTrip(codec, false, WithoutSeqs(entries)),
-                WithoutSeqs(entries));
+      EXPECT_EQ(RoundTrip(codec, entries), entries);
     }
   }
 }
@@ -93,9 +83,7 @@ TEST(PageCodecTest, EdgeShapedPagesRoundTrip) {
   };
   for (const auto& page : pages) {
     for (const PageCodec codec : kAllCodecs) {
-      EXPECT_EQ(RoundTrip(codec, true, page), page);
-      EXPECT_EQ(RoundTrip(codec, false, WithoutSeqs(page)),
-                WithoutSeqs(page));
+      EXPECT_EQ(RoundTrip(codec, page), page);
     }
   }
   // Tombstone bits survive the packed stamp.
@@ -106,19 +94,18 @@ TEST(PageCodecTest, EdgeShapedPagesRoundTrip) {
 
 TEST(PageCodecTest, DenseKeysCompress) {
   // The motivating case: consecutive curve keys (a perfectly clustered
-  // run) shrink to a fraction of the raw 16 bytes per entry.
+  // run) shrink to a fraction of the raw 24 bytes per entry.
   std::vector<Entry> entries;
   for (uint64_t i = 0; i < 256; ++i) {
     entries.push_back({1000 + i, i, PackSeq(i + 1, false)});
   }
   std::vector<uint8_t> raw_bytes;
-  EncodePage(PageCodec::kRaw, entries, /*with_seqs=*/true, &raw_bytes);
+  EncodePage(PageCodec::kRaw, entries, &raw_bytes);
   std::vector<uint8_t> delta_bytes;
-  EncodePage(PageCodec::kDeltaVarint, entries, /*with_seqs=*/true,
-             &delta_bytes);
+  EncodePage(PageCodec::kDeltaVarint, entries, &delta_bytes);
   EXPECT_EQ(raw_bytes.size(), 256 * kEntryBytesV3);
   EXPECT_LT(delta_bytes.size() * 3, raw_bytes.size());
-  EXPECT_EQ(RoundTrip(PageCodec::kDeltaVarint, true, entries), entries);
+  EXPECT_EQ(RoundTrip(PageCodec::kDeltaVarint, entries), entries);
 }
 
 TEST(PageCodecTest, BitpackCompressesAndValidates) {
@@ -129,40 +116,40 @@ TEST(PageCodecTest, BitpackCompressesAndValidates) {
     entries.push_back({1000 + i, i, PackSeq(i + 1, false)});
   }
   std::vector<uint8_t> packed;
-  EncodePage(PageCodec::kBitpack, entries, /*with_seqs=*/true, &packed);
+  EncodePage(PageCodec::kBitpack, entries, &packed);
   EXPECT_LT(packed.size() * 4, 256 * kEntryBytesV3);
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, true, entries), entries);
+  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, entries), entries);
 
   // A constant column costs zero stream bytes: single-key pages pack to
   // the header alone.
   std::vector<Entry> constant(200, Entry{42, 7, PackSeq(9, false)});
   packed.clear();
-  EncodePage(PageCodec::kBitpack, constant, /*with_seqs=*/true, &packed);
+  EncodePage(PageCodec::kBitpack, constant, &packed);
   EXPECT_EQ(packed.size(), 27u);  // 3 width bytes + 3 u64 bases
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, true, constant), constant);
+  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, constant), constant);
 
   // Trailing garbage and truncation are both size mismatches.
   packed.push_back(0);
   std::vector<Entry> decoded;
   EXPECT_FALSE(DecodePage(PageCodec::kBitpack, packed.data(), packed.size(),
-                          constant.size(), /*with_seqs=*/true, &decoded));
+                          constant.size(), &decoded));
   // A width byte past 64 can never be valid.
   std::vector<uint8_t> bad;
-  EncodePage(PageCodec::kBitpack, entries, /*with_seqs=*/true, &bad);
+  EncodePage(PageCodec::kBitpack, entries, &bad);
   bad[0] = 65;
   EXPECT_FALSE(DecodePage(PageCodec::kBitpack, bad.data(), bad.size(),
-                          entries.size(), /*with_seqs=*/true, &decoded));
+                          entries.size(), &decoded));
   // Max-u64 keys round-trip at the top of the range...
   std::vector<Entry> high{{~0ull - 1, 0, 0}, {~0ull, 0, 0}};
-  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, true, high), high);
+  EXPECT_EQ(RoundTrip(PageCodec::kBitpack, high), high);
   // ...and a stored delta that would wrap a key past 2^64 is rejected as
   // corruption, not wrapped. Hand-crafted page: key_base = ~0ull with a
   // 1-bit key column whose second delta is 1.
   bad.clear();
-  EncodePage(PageCodec::kBitpack, high, /*with_seqs=*/true, &bad);
+  EncodePage(PageCodec::kBitpack, high, &bad);
   for (int i = 0; i < 8; ++i) bad[3 + i] = 0xff;  // key_base := ~0ull
   EXPECT_FALSE(DecodePage(PageCodec::kBitpack, bad.data(), bad.size(),
-                          high.size(), /*with_seqs=*/true, &decoded));
+                          high.size(), &decoded));
 }
 
 TEST(PageCodecTest, MalformedBuffersRejected) {
@@ -170,38 +157,24 @@ TEST(PageCodecTest, MalformedBuffersRejected) {
   for (uint64_t i = 0; i < 16; ++i) {
     entries.push_back({i * 1000, i, PackSeq(i + 1, i % 5 == 0)});
   }
-  for (const PageCodec codec : kAllCodecs) {
-    for (const bool with_seqs : kSeqModes) {
-      std::vector<uint8_t> bytes;
-      EncodePage(codec, entries, with_seqs, &bytes);
-      std::vector<Entry> decoded;
-      // Truncation: every strict prefix must fail for the declared count.
-      EXPECT_FALSE(DecodePage(codec, bytes.data(), bytes.size() - 1,
-                              entries.size(), with_seqs, &decoded));
-      EXPECT_FALSE(DecodePage(codec, bytes.data(), 0, entries.size(),
-                              with_seqs, &decoded));
-    }
-  }
-  // Delta decoding must also reject trailing garbage...
-  std::vector<uint8_t> bytes;
-  EncodePage(PageCodec::kDeltaVarint, entries, /*with_seqs=*/true, &bytes);
-  bytes.push_back(0x00);
   std::vector<Entry> decoded;
-  EXPECT_FALSE(DecodePage(PageCodec::kDeltaVarint, bytes.data(),
-                          bytes.size(), entries.size(), /*with_seqs=*/true,
-                          &decoded));
-  // ...and varints that run past 64 bits (11 continuation bytes).
+  for (const PageCodec codec : kAllCodecs) {
+    std::vector<uint8_t> bytes;
+    EncodePage(codec, entries, &bytes);
+    // Truncation: every strict prefix must fail for the declared count.
+    EXPECT_FALSE(DecodePage(codec, bytes.data(), bytes.size() - 1,
+                            entries.size(), &decoded));
+    EXPECT_FALSE(DecodePage(codec, bytes.data(), 0, entries.size(), &decoded));
+    // Trailing bytes after the last entry are corruption too.
+    bytes.push_back(0);
+    EXPECT_FALSE(DecodePage(codec, bytes.data(), bytes.size(), entries.size(),
+                            &decoded))
+        << PageCodecName(codec);
+  }
+  // Varints that run past 64 bits (11 continuation bytes) are rejected.
   const std::vector<uint8_t> overflow(16, 0xff);
   EXPECT_FALSE(DecodePage(PageCodec::kDeltaVarint, overflow.data(),
-                          overflow.size(), 1, /*with_seqs=*/true, &decoded));
-  // Raw tolerates trailing padding (the v1 fixed-size page layout).
-  std::vector<uint8_t> padded;
-  const std::vector<Entry> pairs = WithoutSeqs(entries);
-  EncodePage(PageCodec::kRaw, pairs, /*with_seqs=*/false, &padded);
-  padded.resize(padded.size() + 3 * kEntryBytes, 0);
-  ASSERT_TRUE(DecodePage(PageCodec::kRaw, padded.data(), padded.size(),
-                         pairs.size(), /*with_seqs=*/false, &decoded));
-  EXPECT_EQ(decoded, pairs);
+                          overflow.size(), 1, &decoded));
 }
 
 TEST(FilterBlockTest, NoFalseNegatives) {

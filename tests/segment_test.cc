@@ -1,9 +1,8 @@
 // Tests for the on-disk segment format: write -> reopen round trips
 // (including empty and single-page segments), fence-index correctness,
-// header validation of corrupted files, agreement with the in-memory page
-// source on identical data, and — for format version 2 — codec round
-// trips, bloom-filter probes, zone-map pruning, and backward compat with
-// handcrafted format-v1 files.
+// header validation of corrupted files and of every version this build
+// does not write, agreement with the in-memory page source on identical
+// data, codec round trips, bloom-filter probes, and zone-map pruning.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "storage/codec.h"
 #include "storage/mem_source.h"
 #include "storage/segment.h"
-#include "v1_segment_fixture.h"
 
 namespace onion::storage {
 namespace {
@@ -187,7 +185,6 @@ TEST(SegmentTest, DeltaVarintSegmentRoundTripsAndShrinks) {
   auto delta = SegmentReader::Open(delta_path);
   ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(raw.value()->format_version(), 3u);
   EXPECT_EQ(delta.value()->codec(), PageCodec::kDeltaVarint);
   // Byte-identical decoded entries, strictly fewer bytes on disk.
   EXPECT_EQ(ReadAll(*raw.value()), entries);
@@ -303,7 +300,6 @@ TEST(SegmentTest, SeqStampsRoundTripThroughSegments) {
     ASSERT_TRUE(writer.Finish().ok());
     auto reader = SegmentReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader.value()->format_version(), 3u);
     EXPECT_EQ(ReadAll(*reader.value()), entries);
   }
 }
@@ -353,7 +349,7 @@ TEST(SegmentTest, BatchedReadPagesMatchesPerPageReads) {
 }
 
 TEST(SegmentTest, PageChecksumCatchesBitFlip) {
-  // The per-page CRC32C of format v3: flipping a single bit inside page
+  // The per-page CRC32C: flipping a single bit inside page
   // data must surface as Status::Corruption from ReadPage — never as
   // silently wrong entries — while the header (and the other pages) stay
   // readable.
@@ -362,7 +358,6 @@ TEST(SegmentTest, PageChecksumCatchesBitFlip) {
     entries.push_back({i * 5, i, PackSeq(i + 1, false)});
   }
   auto reader = WriteAndOpen("seg_bitflip.sfc", entries, 16);
-  ASSERT_EQ(reader->format_version(), 3u);
   const uint64_t victim_bytes = reader->PageDiskBytes(2);
   reader.reset();  // release the file before mutating it
 
@@ -393,156 +388,39 @@ TEST(SegmentTest, PageChecksumCatchesBitFlip) {
   EXPECT_TRUE(reopened.value()->ReadPage(3, &page).ok());
 }
 
-/// Writes a format-v2 segment file (the pre-MVCC layout: 96-byte header,
-/// raw PAIR pages without checksums, page index, no filter/zones),
-/// byte-exactly and independently of segment.cc.
-void WriteV2SegmentFixture(const std::string& path,
-                           const std::vector<Entry>& entries,
-                           uint32_t entries_per_page) {
-  ASSERT_FALSE(entries.empty());
-  const uint64_t num_pages =
-      (entries.size() + entries_per_page - 1) / entries_per_page;
-  std::vector<uint8_t> bytes(96);
-  std::vector<uint64_t> page_offsets;
-  std::vector<uint64_t> page_sizes;
-  for (uint64_t p = 0; p < num_pages; ++p) {
-    const size_t begin = p * entries_per_page;
-    const size_t end =
-        std::min<size_t>(begin + entries_per_page, entries.size());
-    page_offsets.push_back(bytes.size());
-    page_sizes.push_back((end - begin) * kEntryBytes);
-    for (size_t i = begin; i < end; ++i) {
-      uint8_t pair[16];
-      PutU64(pair, entries[i].key);
-      PutU64(pair + 8, entries[i].payload);
-      bytes.insert(bytes.end(), pair, pair + sizeof(pair));
-    }
-  }
-  const uint64_t index_offset = bytes.size();
-  for (uint64_t p = 0; p < num_pages; ++p) {
-    const size_t begin = p * entries_per_page;
-    const size_t end =
-        std::min<size_t>(begin + entries_per_page, entries.size());
-    uint8_t record[32];
-    PutU64(record, page_offsets[p]);
-    PutU64(record + 8, page_sizes[p]);
-    PutU64(record + 16, entries[begin].key);
-    PutU64(record + 24, entries[end - 1].key);
-    bytes.insert(bytes.end(), record, record + sizeof(record));
-  }
-  std::memcpy(bytes.data(), "OSFCSEG1", 8);
-  PutU32(&bytes[8], 2);  // format version 2
-  PutU32(&bytes[12], entries_per_page);
-  PutU64(&bytes[16], entries.size());
-  PutU64(&bytes[24], num_pages);
-  PutU64(&bytes[32], entries.front().key);
-  PutU64(&bytes[40], entries.back().key);
-  PutU64(&bytes[48], index_offset);
-  PutU32(&bytes[56], 0);  // codec raw
-  PutU32(&bytes[60], 0);  // no filter
-  PutU64(&bytes[64], 0);  // filter_offset
-  PutU64(&bytes[72], 0);  // filter_bytes
-  PutU32(&bytes[80], 0);  // zone_dims
-  // The v2 header checksum, reproduced independently of segment.cc.
-  uint64_t sum = 0x0410105fc5e671ULL;
-  sum ^= Rotl64(static_cast<uint64_t>(2) << 32 | entries_per_page, 1);
-  sum ^= Rotl64(entries.size(), 7);
-  sum ^= Rotl64(num_pages, 13);
-  sum ^= Rotl64(entries.front().key, 19);
-  sum ^= Rotl64(entries.back().key, 29);
-  sum ^= Rotl64(index_offset, 37);
-  PutU64(&bytes[88], sum);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
-
-TEST(SegmentTest, OpensHandcraftedV2FileWithSeqZero) {
-  // Backward compat for the pre-MVCC format: v2 pages carry no sequence
-  // stamps, so every entry must read back with seq 0 — visible to every
-  // snapshot, hidden by any tombstone.
-  Rng rng(43);
-  std::vector<Entry> entries;
-  Key key = 0;
-  for (uint64_t i = 0; i < 300; ++i) {
-    key += rng.UniformInclusive(6);
-    entries.push_back({key, i * 3});  // seq 0 by construction
-  }
-  const std::string path = TempPath("seg_v2_fixture.sfc");
-  std::remove(path.c_str());
-  WriteV2SegmentFixture(path, entries, 16);
-  auto opened = SegmentReader::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const auto& reader = *opened.value();
-  EXPECT_EQ(reader.format_version(), 2u);
-  EXPECT_EQ(reader.codec(), PageCodec::kRaw);
-  EXPECT_EQ(reader.num_entries(), entries.size());
-  const auto decoded = ReadAll(reader);
-  EXPECT_EQ(decoded, entries);
-  for (const Entry& entry : decoded) {
-    EXPECT_EQ(entry.seq, 0u);
-  }
-}
-
-TEST(SegmentTest, OpensHandcraftedV1File) {
-  Rng rng(31);
-  std::vector<Entry> entries;
-  Key key = 0;
-  for (uint64_t i = 0; i < 500; ++i) {
-    key += rng.UniformInclusive(9);
-    entries.push_back({key, i});
-  }
-  const std::string path = TempPath("seg_v1_fixture.sfc");
-  std::remove(path.c_str());
-  WriteV1SegmentFixture(path, entries, 16);
-  auto opened = SegmentReader::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const auto& reader = *opened.value();
-  EXPECT_EQ(reader.format_version(), 1u);
-  EXPECT_EQ(reader.codec(), PageCodec::kRaw);
-  EXPECT_EQ(reader.filter_bytes(), 0u);
-  EXPECT_EQ(reader.num_entries(), entries.size());
-  EXPECT_EQ(reader.min_key(), entries.front().key);
-  EXPECT_EQ(reader.max_key(), entries.back().key);
-  EXPECT_EQ(ReadAll(reader), entries);
-  // No filter, no zone maps: probes answer "maybe", never "no".
-  EXPECT_TRUE(reader.MayContainKey(entries.back().key + 1234));
-  EXPECT_TRUE(reader.PageMayIntersect(0, Box(Cell(0, 0), Cell(1, 1))));
-  // v1 pages are fixed-size on disk.
-  EXPECT_EQ(reader.PageDiskBytes(0), 16 * kEntryBytes);
-}
-
 TEST(SegmentTest, OpenRejectsUnknownFutureVersion) {
+  // A freshly written segment stamped with every version this build does
+  // not write — the retired 1 and 2 and a future 9 — must be refused with
+  // a Status that names the version, not just "bad file".
   const std::vector<Entry> entries = {{1, 1}, {2, 2}};
   const std::string path = TempPath("seg_future.sfc");
-  std::remove(path.c_str());
-  WriteV1SegmentFixture(path, entries, 4);
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 8, SEEK_SET);
-  uint8_t version_bytes[4];
-  PutU32(version_bytes, 7);
-  std::fwrite(version_bytes, 1, 4, f);
-  std::fclose(f);
-  auto result = SegmentReader::Open(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // The message must tell the operator what happened, not just "bad file".
-  EXPECT_NE(result.status().ToString().find("unsupported segment format"),
-            std::string::npos);
-  EXPECT_NE(result.status().ToString().find("7"), std::string::npos);
+  for (const uint32_t version : {1u, 2u, 9u}) {
+    WriteAndOpen("seg_future.sfc", entries, 4).reset();
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 8, SEEK_SET);
+    uint8_t version_bytes[4];
+    PutU32(version_bytes, version);
+    std::fwrite(version_bytes, 1, 4, f);
+    std::fclose(f);
+    auto result = SegmentReader::Open(path);
+    ASSERT_FALSE(result.ok()) << "version " << version;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(
+                  "unsupported segment format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
-TEST(SegmentTest, OpenRejectsCorruptedV2Header) {
+TEST(SegmentTest, OpenRejectsCorruptedCodecId) {
   const std::vector<Entry> entries = {{1, 1}, {2, 2}, {3, 3}};
-  auto reader = WriteAndOpen("seg_corrupt_v2.sfc", entries, 2);
-  ASSERT_EQ(reader->format_version(), 3u);
-  reader.reset();
-  const std::string path = TempPath("seg_corrupt_v2.sfc");
+  WriteAndOpen("seg_corrupt_codec.sfc", entries, 2).reset();
+  const std::string path = TempPath("seg_corrupt_codec.sfc");
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 56, SEEK_SET);  // codec id field of the v2 header
+  std::fseek(f, 56, SEEK_SET);  // codec id field of the header
   const uint8_t bogus = 0x5a;
   std::fwrite(&bogus, 1, 1, f);
   std::fclose(f);

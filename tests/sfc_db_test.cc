@@ -1,11 +1,13 @@
 // SfcDb catalog tests: create/open/drop/list lifecycle, catalog
 // persistence across reopen, shared-pool I/O attribution staying
-// per-table, the shared worker pool flushing many tables, orphan GC, and
-// option/name validation.
+// per-table, the shared worker pool flushing many tables, orphan GC,
+// option/name validation, and refusal of catalog versions this build does
+// not write.
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +86,33 @@ TEST(SfcDbTest, CatalogSurvivesReopen) {
   // OpenTable is idempotent: same handle back.
   EXPECT_EQ(db.OpenTable("points").value(), table.value());
   EXPECT_EQ(db.OpenTable("nope").status().code(), StatusCode::kNotFound);
+}
+
+TEST(SfcDbTest, OlderCatalogVersionRejectedWithClearStatus) {
+  const std::string dir = FreshDir("catalog_v1");
+  {
+    auto db = SfcDb::Open(dir);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(
+        db.value()->CreateTable("keep", "onion", Universe(2, 32)).ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  // Stamp the retired version 1 over the header line this build wrote.
+  std::ifstream in(dir + "/CATALOG");
+  std::string header;
+  std::getline(in, header);
+  ASSERT_EQ(header, "onion-sfc-db 2");
+  const std::string rest((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  std::ofstream(dir + "/CATALOG", std::ios::trunc)
+      << "onion-sfc-db 1\n" << rest;
+  auto db = SfcDb::Open(dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().ToString().find("unsupported catalog version 1"),
+            std::string::npos)
+      << db.status().ToString();
 }
 
 TEST(SfcDbTest, SharedPoolKeepsPerTableIoStatsIsolated) {

@@ -7,7 +7,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "sfc/registry.h"
 #include "storage/codec.h"
 #include "storage/sfc_table.h"
-#include "v1_segment_fixture.h"
 #include "workloads/generators.h"
 
 namespace onion::storage {
@@ -534,78 +535,9 @@ TEST(SfcTableTest, ManifestRecordsCodecAcrossReopen) {
   ASSERT_FALSE(infos.empty());
   for (const SegmentInfo& info : infos) {
     EXPECT_EQ(info.codec, PageCodec::kDeltaVarint) << info.file;
-    EXPECT_EQ(info.format_version, 3u) << info.file;
     EXPECT_GT(info.filter_bytes, 0u) << info.file;
     EXPECT_GT(info.disk_bytes, 0u) << info.file;
   }
-}
-
-/// Builds a table directory whose MANIFEST (version 2, pre-codec) names
-/// one handcrafted v1 segment — exactly what a table left behind by the
-/// previous release looks like. The segment bytes come from the shared
-/// byte-exact fixture in v1_segment_fixture.h.
-void BuildV1FixtureTable(const std::string& dir,
-                         const std::vector<Entry>& entries) {
-  std::filesystem::create_directories(dir);
-  WriteV1SegmentFixture(dir + "/seg_0.sfc", entries, 16);
-  std::FILE* f = std::fopen((dir + "/MANIFEST").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const std::string manifest =
-      "onion-sfc-table 2\n"
-      "curve hilbert\n"
-      "dims 2\n"
-      "side 32\n"
-      "entries_per_page 16\n"
-      "next_segment_id 1\n"
-      "wal_floor 0\n"
-      "segment 0 seg_0.sfc\n";
-  ASSERT_EQ(std::fwrite(manifest.data(), 1, manifest.size(), f),
-            manifest.size());
-  std::fclose(f);
-}
-
-TEST(SfcTableTest, V1FixtureOpensQueriesAndUpgradesOnCompaction) {
-  const Universe universe(2, 32);
-  auto curve = MakeCurve("hilbert", universe).value();
-  std::vector<Entry> v1_entries;
-  for (Key key = 0; key < universe.num_cells(); key += 3) {
-    v1_entries.push_back({key, key * 2});
-  }
-  const std::string dir = FreshDir("v1_fixture");
-  BuildV1FixtureTable(dir, v1_entries);
-
-  SfcTableOptions options;
-  options.codec = PageCodec::kDeltaVarint;  // the upgrade target
-  auto opened = SfcTable::Open(dir, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto& table = *opened.value();
-  EXPECT_EQ(table.size(), v1_entries.size());
-  {
-    const auto infos = table.SegmentInfos();
-    ASSERT_EQ(infos.size(), 1u);
-    EXPECT_EQ(infos[0].format_version, 1u);
-    EXPECT_EQ(infos[0].codec, PageCodec::kRaw);
-  }
-  // Queries read v1 pages through the same cursor path as v2.
-  const auto everything = CursorQuery(table, universe.Bounds());
-  ASSERT_EQ(everything.size(), v1_entries.size());
-  for (const SpatialEntry& entry : everything) {
-    EXPECT_EQ(entry.payload, curve->IndexOf(entry.cell) * 2);
-  }
-  // New data + compaction: the merged output is format v2 with the
-  // table's codec — the v1 file is upgraded out of existence.
-  for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(table.Insert(Cell(i % 32, 31 - i % 32), 900000 + i).ok());
-  }
-  ASSERT_TRUE(table.Flush().ok());
-  ASSERT_TRUE(table.Compact().ok());
-  const auto infos = table.SegmentInfos();
-  ASSERT_EQ(infos.size(), 1u);
-  EXPECT_EQ(infos[0].format_version, 3u);
-  EXPECT_EQ(infos[0].codec, PageCodec::kDeltaVarint);
-  EXPECT_GT(infos[0].filter_bytes, 0u);
-  EXPECT_EQ(table.size(), v1_entries.size() + 50);
-  EXPECT_EQ(CursorQuery(table, universe.Bounds()).size(), v1_entries.size() + 50);
 }
 
 TEST(SfcTableTest, SnapshotPinsPreMutationStateAcrossFlushAndCompaction) {
@@ -757,26 +689,122 @@ TEST(SfcTableTest, CompactionDropsShadowedVersionsAndUnpinnedTombstones) {
   EXPECT_EQ(table.size(), 40u);  // fully collected
 }
 
+/// Creates a hilbert table over a 32x32 universe in `dir` holding `rows`
+/// flushed rows, then closes it.
+void BuildFlushedTable(const std::string& dir, uint64_t rows) {
+  auto table = SfcTable::Create(dir, "hilbert", Universe(2, 32));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  for (uint64_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(table.value()->Insert(Cell(i % 32, (i / 32) % 32), i).ok());
+  }
+  ASSERT_TRUE(table.value()->Flush().ok());
+  ASSERT_TRUE(table.value()->Close().ok());
+}
+
+/// Rewrites the MANIFEST of `dir` line by line through `edit`, which may
+/// change a line in place or clear it to drop it. Returns the first line
+/// `edit` changed, as written ("" for a dropped line), or nullopt when it
+/// changed none.
+template <typename Edit>
+std::optional<std::string> EditManifest(const std::string& dir,
+                                        const Edit& edit) {
+  const std::string path = dir + "/MANIFEST";
+  std::ifstream in(path);
+  std::string text;
+  std::optional<std::string> changed;
+  for (std::string line; std::getline(in, line);) {
+    std::string edited = line;
+    edit(&edited);
+    if (edited != line && !changed.has_value()) changed = edited;
+    if (!edited.empty()) text += edited + "\n";
+  }
+  in.close();
+  std::ofstream(path, std::ios::trunc) << text;
+  return changed;
+}
+
 TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {
-  const Universe universe(2, 32);
-  std::vector<Entry> entries;
-  for (Key key = 0; key < 100; ++key) entries.push_back({key, key});
   const std::string dir = FreshDir("future_segment");
-  BuildV1FixtureTable(dir, entries);
-  // Stamp a from-the-future format version into the segment header.
-  std::FILE* f = std::fopen((dir + "/seg_0.sfc").c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  uint8_t version_bytes[4];
-  PutU32(version_bytes, 9);
-  std::fseek(f, 8, SEEK_SET);
-  std::fwrite(version_bytes, 1, 4, f);
-  std::fclose(f);
-  auto opened = SfcTable::Open(dir);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().ToString().find("unsupported segment format"),
-            std::string::npos)
-      << opened.status().ToString();
+  BuildFlushedTable(dir, 100);
+  std::string file;
+  {
+    auto table = SfcTable::Open(dir);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const auto infos = table.value()->SegmentInfos();
+    ASSERT_EQ(infos.size(), 1u);
+    file = infos[0].file;
+    ASSERT_TRUE(table.value()->Close().ok());
+  }
+  // Stamp the retired versions 1 and 2 and a future 9 into the header of
+  // a segment this build wrote: each must be refused by name.
+  for (const uint32_t version : {1u, 2u, 9u}) {
+    std::FILE* f = std::fopen((dir + "/" + file).c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    uint8_t version_bytes[4];
+    PutU32(version_bytes, version);
+    std::fseek(f, 8, SEEK_SET);
+    std::fwrite(version_bytes, 1, 4, f);
+    std::fclose(f);
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << "version " << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find(
+                  "unsupported segment format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+TEST(SfcTableTest, GarbledManifestIsRejectedWithClearStatus) {
+  // Every MANIFEST value must parse in full. A garbled value must fail
+  // Open with a Status naming the line — not end the parse early and open
+  // a table whose later lines (segments, the sequence fence) were never
+  // read. A missing required line and another format version are refused
+  // by name too.
+  struct Garble {
+    std::string field;   // the first line starting with it is edited
+    std::string value;   // its first value becomes this; "" drops the line
+    std::string expect;  // in the Status; "" means the edited line, quoted
+  };
+  const Garble garbles[] = {
+      {"wal_floor", "x", ""},
+      {"next_segment_id", "1x", ""},
+      {"last_sequence", "x", ""},
+      {"segment", "x", ""},      // the level of the first segment line
+      {"segment", "99999", ""},  // a level no table can reach
+      {"last_sequence", "", "last_sequence"},
+      {"onion-sfc-table", "3", "unsupported manifest version 3"},
+  };
+  for (const Garble& garble : garbles) {
+    const std::string dir =
+        FreshDir("garbled_" + garble.field + "_" + garble.value);
+    BuildFlushedTable(dir, 500);
+    bool done = false;
+    const auto changed = EditManifest(dir, [&](std::string* line) {
+      if (done || line->rfind(garble.field + " ", 0) != 0) return;
+      done = true;
+      if (garble.value.empty()) {
+        line->clear();
+        return;
+      }
+      // Replace the first value, keep any that follow.
+      const size_t begin = garble.field.size() + 1;
+      const size_t end = line->find(' ', begin);
+      line->replace(begin, end == std::string::npos ? std::string::npos
+                                                     : end - begin,
+                    garble.value);
+    });
+    ASSERT_TRUE(changed.has_value()) << garble.field;
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok())
+        << "'" << *changed << "' opened with size " << opened.value()->size();
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    const std::string expect =
+        garble.expect.empty() ? "'" + *changed + "'" : garble.expect;
+    EXPECT_NE(opened.status().ToString().find(expect), std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 }  // namespace

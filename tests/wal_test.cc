@@ -1,9 +1,8 @@
 // Write-ahead-log unit tests: append/replay round trips for single-op and
 // multi-op (batch) records with sequence stamps and tombstones, torn-tail
 // tolerance (short and corrupt records, whole batches discarded
-// atomically), version-1 backward compatibility from a handcrafted
-// fixture, header validation, and group-commit fsync (SyncUpTo
-// leader/follower batching).
+// atomically), header and version validation, and group-commit fsync
+// (SyncUpTo leader/follower batching).
 
 #include <unistd.h>
 
@@ -67,7 +66,7 @@ TEST(WalTest, AppendReplayRoundTrip) {
   const std::string path = FreshPath("wal_roundtrip.log");
   std::vector<ReplayedOp> written;
   {
-    auto wal = WalWriter::Create(path, /*fsync_each_append=*/false);
+    auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     for (uint64_t i = 0; i < 500; ++i) {
       const Key key = (i * 2654435761u) % 10000;  // unordered on purpose
@@ -85,7 +84,7 @@ TEST(WalTest, AppendReplayRoundTrip) {
 TEST(WalTest, MultiOpBatchRecordsRoundTrip) {
   const std::string path = FreshPath("wal_batch.log");
   {
-    auto wal = WalWriter::Create(path, false);
+    auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
     const WalOp ops[3] = {{10, 100, false}, {20, 0, true}, {30, 300, false}};
     ASSERT_TRUE(wal.value()->AppendBatch(ops, 3, /*first_sequence=*/41).ok());
@@ -104,14 +103,14 @@ TEST(WalTest, MultiOpBatchRecordsRoundTrip) {
 
 TEST(WalTest, EmptyLogReplaysNothing) {
   const std::string path = FreshPath("wal_empty.log");
-  { ASSERT_TRUE(WalWriter::Create(path, false).ok()); }
+  { ASSERT_TRUE(WalWriter::Create(path).ok()); }
   EXPECT_TRUE(Replay(path).empty());
 }
 
 TEST(WalTest, TornTailIsDiscardedShortRecord) {
   const std::string path = FreshPath("wal_torn.log");
   {
-    auto wal = WalWriter::Create(path, false);
+    auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
     for (uint64_t i = 0; i < 10; ++i) {
       const WalOp op{i, i, false};
@@ -130,7 +129,7 @@ TEST(WalTest, TornBatchIsDiscardedWhole) {
   // its ops, even those whose bytes survived intact.
   const std::string path = FreshPath("wal_torn_batch.log");
   {
-    auto wal = WalWriter::Create(path, false);
+    auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
     const WalOp first{1, 1, false};
     ASSERT_TRUE(wal.value()->AppendBatch(&first, 1, 1).ok());
@@ -149,7 +148,7 @@ TEST(WalTest, TornBatchIsDiscardedWhole) {
 TEST(WalTest, CorruptChecksumStopsReplayThere) {
   const std::string path = FreshPath("wal_corrupt.log");
   {
-    auto wal = WalWriter::Create(path, false);
+    auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
     for (uint64_t i = 0; i < 10; ++i) {
       const WalOp op{i, i, false};
@@ -169,40 +168,40 @@ TEST(WalTest, CorruptChecksumStopsReplayThere) {
   EXPECT_EQ(ops.back().key, 4u);
 }
 
-TEST(WalTest, HandcraftedV1FileReplaysWithSequenceZero) {
-  // Byte-exact version-1 fixture (fixed 24-byte records, xor-rotate
-  // checksum), written independently of wal.cc: the current replay must
-  // surface its ops as puts with sequence 0 for the table to synthesize.
-  const std::string path = FreshPath("wal_v1_fixture.log");
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr);
-  uint8_t header[16] = {};
-  std::memcpy(header, "OSFCWAL1", 8);
-  PutU32(header + 8, 1);  // format version 1
-  ASSERT_EQ(std::fwrite(header, 1, sizeof(header), file), sizeof(header));
-  for (uint64_t i = 0; i < 20; ++i) {
-    const uint64_t key = i * 11;
-    const uint64_t payload = i + 7;
-    uint8_t record[24];
-    PutU64(record, key);
-    PutU64(record + 8, payload);
-    uint64_t sum = 0x0410105fc5a10ULL;  // the v1 checksum, reproduced
-    sum ^= Rotl64(key, 17);
-    sum ^= Rotl64(payload, 31);
-    PutU64(record + 16, sum);
-    ASSERT_EQ(std::fwrite(record, 1, sizeof(record), file), sizeof(record));
-  }
-  std::fclose(file);
-  const auto ops = Replay(path);
-  ASSERT_EQ(ops.size(), 20u);
-  for (uint64_t i = 0; i < ops.size(); ++i) {
-    EXPECT_EQ(ops[i], (ReplayedOp{i * 11, i + 7, 0, false})) << i;
+TEST(WalTest, OtherVersionsAreRejectedNamingTheVersion) {
+  // A freshly written log stamped with the retired version 1 (or a future
+  // version) must be refused with a Status naming the version — never
+  // replayed as if it were the current layout.
+  const std::string path = FreshPath("wal_version.log");
+  for (const uint32_t version : {1u, 3u}) {
+    {
+      auto wal = WalWriter::Create(path);
+      ASSERT_TRUE(wal.ok());
+      const WalOp op{1, 1, false};
+      ASSERT_TRUE(wal.value()->AppendBatch(&op, 1, 1).ok());
+    }
+    std::FILE* file = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fseek(file, 8, SEEK_SET), 0);
+    uint8_t version_bytes[4];
+    PutU32(version_bytes, version);
+    ASSERT_EQ(std::fwrite(version_bytes, 1, 4, file), 4u);
+    std::fclose(file);
+    auto result = ReplayWal(path, [](Key, uint64_t, uint64_t, bool) {
+      ADD_FAILURE() << "no op may replay from an unsupported version";
+    });
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find("unsupported WAL version " +
+                                              std::to_string(version)),
+              std::string::npos)
+        << result.status().ToString();
   }
 }
 
 TEST(WalTest, SyncUpToCoversEverythingAppendedSoFar) {
   const std::string path = FreshPath("wal_syncupto.log");
-  auto wal = WalWriter::Create(path, /*fsync_each_append=*/false);
+  auto wal = WalWriter::Create(path);
   ASSERT_TRUE(wal.ok());
   uint64_t record = 0;
   for (uint64_t i = 0; i < 10; ++i) {
@@ -232,7 +231,7 @@ TEST(WalTest, GroupCommitBatchesConcurrentCommitters) {
   // at most one fsync per committer (in practice far fewer — but that is
   // timing-dependent, so only the hard invariants are asserted).
   const std::string path = FreshPath("wal_group_commit.log");
-  auto wal_result = WalWriter::Create(path, /*fsync_each_append=*/false);
+  auto wal_result = WalWriter::Create(path);
   ASSERT_TRUE(wal_result.ok());
   WalWriter& wal = *wal_result.value();
   constexpr int kThreads = 4;
@@ -269,7 +268,7 @@ TEST(WalTest, NumRecordsIsSafeToObserveDuringAppends) {
   // ahead of what has actually been appended. Run under TSan (CI) this
   // also proves the read is race-free.
   const std::string path = FreshPath("wal_observer.log");
-  auto wal_result = WalWriter::Create(path, /*fsync_each_append=*/false);
+  auto wal_result = WalWriter::Create(path);
   ASSERT_TRUE(wal_result.ok());
   WalWriter& wal = *wal_result.value();
   constexpr uint64_t kRecords = 2000;
