@@ -411,15 +411,19 @@ void SfcServer::CloseSession(int fd, const char* reason) {
   (void)reason;
   const auto it = sessions_.find(fd);
   if (it == sessions_.end()) return;
-  Session* session = it->second.get();
-  snapshots_pinned_->Add(-static_cast<int64_t>(session->snapshots.size()));
-  cursors_open_->Add(-static_cast<int64_t>(session->cursors.size()));
-  active_connections_->Add(-1);
+  const Session* session = it->second.get();
+  const auto snapshots = static_cast<int64_t>(session->snapshots.size());
+  const auto cursors = static_cast<int64_t>(session->cursors.size());
   if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   // Destroying the session releases its cursors first-class and drops
-  // every DbSnapshot shared_ptr — the pins unregister themselves.
+  // every DbSnapshot shared_ptr — the pins unregister themselves. The
+  // gauges move only after that, so a reader that sees them at 0 also
+  // sees the pins gone.
   sessions_.erase(it);
+  snapshots_pinned_->Add(-snapshots);
+  cursors_open_->Add(-cursors);
+  active_connections_->Add(-1);
 }
 
 void SfcServer::ExpireStale(uint64_t now_us) {
@@ -429,7 +433,7 @@ void SfcServer::ExpireStale(uint64_t now_us) {
     if (now_us - session->last_activity_us > deadline_us) stale.push_back(fd);
   }
   for (const int fd : stale) {
-    Session* session = sessions_.at(fd).get();
+    const Session* session = sessions_.at(fd).get();
     // Count the DbSnapshot pins this expiry force-releases: the ones the
     // client still holds by id, plus the ones kept alive only by its open
     // cursors.
@@ -437,18 +441,22 @@ void SfcServer::ExpireStale(uint64_t now_us) {
     for (const auto& [id, state] : session->cursors) {
       if (state.pin != nullptr) ++pins;
     }
-    sessions_expired_->Increment();
-    snapshots_force_released_->Add(pins);
+    std::string peer = session->peer;
+    const uint64_t last_activity_us = session->last_activity_us;
+    // Release first, publish after: a reader that sees the expiry counted
+    // must also see its pins gone.
+    CloseSession(fd, "session deadline");
     obs::TraceRing& ring = db_->trace();
     obs::TraceEvent event;
     event.id = ring.NextId();
     event.kind = obs::TraceKind::kSessionExpire;
-    event.label = session->peer;
-    event.start_us = session->last_activity_us;
-    event.dur_us = now_us - session->last_activity_us;
+    event.label = std::move(peer);
+    event.start_us = last_activity_us;
+    event.dur_us = now_us - last_activity_us;
     event.entries = pins;
     ring.Add(std::move(event));
-    CloseSession(fd, "session deadline");
+    snapshots_force_released_->Add(pins);
+    sessions_expired_->Increment();
   }
 }
 

@@ -366,6 +366,20 @@ TEST(NetServerTest, PipeliningSurvivesBackpressure) {
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
+  // The server queues bytes only once send() hits EAGAIN, and a client
+  // that is already reading may keep ahead of it. So read nothing until
+  // the server has stalled: 300 responses of ~2.6 KB (~775 KB) cannot fit
+  // in the client's 128 KiB initial receive buffer plus the server's
+  // 4 KiB send buffer, so a server with working backpressure must stop
+  // reading this session however fast or slow it runs. The 10 s bound
+  // only keeps a broken server from hanging the test.
+  obs::Counter* stalls = ts.db->metrics().counter("net.write_queue_stalls");
+  const auto stall_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stalls->value() == 0 &&
+         std::chrono::steady_clock::now() < stall_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   for (const uint64_t want : ids) {
     Response response;
     ASSERT_TRUE(client.ReadResponse(&response).ok());
