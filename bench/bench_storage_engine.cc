@@ -25,6 +25,14 @@
 // bytes and pages fetched for point Gets — CI smoke-runs this as a
 // regression gate.
 //
+// A memtable phase (every mode, --quick included) times point Gets on an
+// onion table over 1024^2 holding 200k compacted points, first with an
+// empty memtable and then with 8k, 32k and 64k unflushed entries (64k is
+// the default memtable_flush_entries). With --csv it prints one
+// CSVGET,memtable,<unflushed>,<get_us_mean> row per level. The bench
+// FAILS if the mean Get at 64k unflushed entries exceeds 10x the mean at
+// 0: a point read must seek in the memtable, not walk it.
+//
 // Every box workload runs twice per table: a COLD pass (the pool starts
 // empty — the paper-model seek measurement the printed tables show) and a
 // WARM pass over the same queries (what a steady-state server sees). The
@@ -45,6 +53,7 @@
 //       [--dir=/tmp/onion_bench_storage]
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -98,6 +107,18 @@ std::unique_ptr<storage::SfcTable> BuildTable(
   const Status compacted = table->Compact();
   ONION_CHECK_MSG(compacted.ok(), compacted.ToString().c_str());
   return table;
+}
+
+/// Mean wall-clock microseconds of one table->Get over `cells`.
+double MeanGetUs(storage::SfcTable* table, const std::vector<Cell>& cells) {
+  const auto start = std::chrono::steady_clock::now();
+  for (const Cell& cell : cells) {
+    const auto payloads = table->Get(cell);
+    ONION_CHECK_MSG(payloads.ok(), payloads.status().ToString().c_str());
+  }
+  const std::chrono::duration<double, std::micro> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / static_cast<double>(cells.size());
 }
 
 }  // namespace
@@ -364,6 +385,45 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  // Memtable phase: point-Get cost against the number of unflushed
+  // entries. The flush threshold is the default, so nothing rotates until
+  // the last level is reached.
+  std::printf("--- point Gets against unflushed memtable entries "
+              "(onion, 1024x1024, 200k compacted points) ---\n");
+  std::printf("%12s %14s\n", "unflushed", "Get us (mean)");
+  double get_us_empty = 0;
+  double get_us_full = 0;
+  {
+    const Universe get_universe(2, 1024);
+    storage::SfcTableOptions options;
+    const uint64_t full = options.memtable_flush_entries;
+    auto table = BuildTable(base_dir + "/memtable_get", "onion", get_universe,
+                            options, RandomPoints(get_universe, 200000, 43));
+    const std::vector<Cell> probes = RandomPoints(get_universe, 4000, 47);
+    const std::vector<Cell> unflushed = RandomPoints(get_universe, full, 53);
+    const size_t segments = table->SegmentInfos().size();
+    uint64_t inserted = 0;
+    for (const uint64_t level : {uint64_t{0}, full / 8, full / 2, full}) {
+      for (; inserted < level; ++inserted) {
+        const Status status = table->Insert(unflushed[inserted], inserted);
+        ONION_CHECK_MSG(status.ok(), status.ToString().c_str());
+      }
+      ONION_CHECK_MSG(table->pending_memtables() == 0 &&
+                          table->SegmentInfos().size() == segments,
+                      "memtable phase flushed before its last level");
+      const double get_us = MeanGetUs(table.get(), probes);
+      if (level == 0) get_us_empty = get_us;
+      if (level == full) get_us_full = get_us;
+      std::printf("%12llu %14.2f\n", static_cast<unsigned long long>(level),
+                  get_us);
+      if (csv) {
+        std::printf("CSVGET,memtable,%llu,%.3f\n",
+                    static_cast<unsigned long long>(level), get_us);
+      }
+    }
+  }
+  std::printf("\n");
+
   std::printf("(seeks are measured non-sequential page fetches against "
               "segment files;\n the curve ranking should match the analytic "
               "clustering-number ranking.)\n");
@@ -410,11 +470,16 @@ int main(int argc, char** argv) {
     disk_total += TableDiskBytes(*bench_table.table);
   }
   report.AddCount("disk_bytes_total", disk_total);
+  report.Add("memtable_get_us_mean_empty", get_us_empty);
+  report.Add("memtable_get_us_mean_full", get_us_full);
   report.WriteFile();
 
   // Exit contracts of this PR's I/O work, checked on the numbers just
   // reported. Grid mode only: random mode's three-config aggregate
   // legitimately decodes more than twice its (compressed) disk bytes.
+  ONION_CHECK_MSG(get_us_full <= 10 * get_us_empty,
+                  "a Get at 64k unflushed entries costs over 10x an empty "
+                  "memtable's: the memtable is walked, not searched");
   if (mode == "grid") {
     ONION_CHECK_MSG(agg_io.decoded_bytes < agg_io.disk_bytes * 2,
                     "decoded:disk ratio regressed past 2x");

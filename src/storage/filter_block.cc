@@ -1,5 +1,7 @@
 #include "storage/filter_block.h"
 
+#include <utility>
+
 #include "storage/codec.h"
 
 namespace onion::storage {
@@ -43,17 +45,19 @@ void BloomFilterBuilder::AddKey(Key key) {
   hashes_.push_back(HashKey(key));
 }
 
-std::vector<uint8_t> BloomFilterBuilder::Finish() const {
-  if (bits_per_key_ == 0 || hashes_.empty()) return {};
+std::vector<uint8_t> BloomFilterBuilder::Finish() {
+  // Moving out leaves hashes_ empty and without capacity.
+  const std::vector<uint64_t> hashes = std::move(hashes_);
+  if (bits_per_key_ == 0 || hashes.empty()) return {};
   const uint64_t bits =
-      static_cast<uint64_t>(hashes_.size()) * bits_per_key_;
+      static_cast<uint64_t>(hashes.size()) * bits_per_key_;
   uint64_t bytes = (bits + 7) / 8;
   bytes = ((bytes + kBloomBlockBytes - 1) / kBloomBlockBytes) *
           kBloomBlockBytes;
   if (bytes < kBloomBlockBytes) bytes = kBloomBlockBytes;
   std::vector<uint8_t> out(bytes, 0);
   const size_t num_blocks = bytes / kBloomBlockBytes;
-  for (const uint64_t hash : hashes_) {
+  for (const uint64_t hash : hashes) {
     uint8_t* block = out.data() + BlockOf(hash, num_blocks) * kBloomBlockBytes;
     const auto hash32 = static_cast<uint32_t>(hash);
     for (int w = 0; w < 8; ++w) {

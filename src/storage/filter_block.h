@@ -40,8 +40,9 @@ class BloomFilterBuilder {
   void AddKey(Key key);
 
   /// The finished filter: empty when disabled or no keys were added,
-  /// otherwise a multiple of kBloomBlockBytes.
-  std::vector<uint8_t> Finish() const;
+  /// otherwise a multiple of kBloomBlockBytes. Releases the buffered
+  /// hashes (8 B per key); the builder must not be used afterwards.
+  std::vector<uint8_t> Finish();
 
  private:
   uint32_t bits_per_key_;

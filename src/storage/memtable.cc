@@ -50,7 +50,7 @@ void MemTable::Insert(Key key, uint64_t payload, uint64_t seq) {
   Shard& shard = shards_[ShardOf(key)];
   {
     const MutexLock lock(shard.mu);
-    *shard.arena.Push() = Entry{key, payload, seq};
+    shard.arena.Push(Entry{key, payload, seq});
   }
   size_.fetch_add(1, std::memory_order_release);
   // CAS-max: concurrent inserters may race, the larger sequence wins.
@@ -86,22 +86,23 @@ bool MemTable::ContainsSequence(uint64_t sequence) const {
 }
 
 Status MemTable::FlushTo(SegmentWriter* writer) const {
-  // Concatenate the shards in key-range order (shard s holds strictly
-  // smaller keys than shard s+1), then stable-sort: same-key entries all
-  // live in one shard in insertion order, so stability carries sequence
-  // order through to the segment.
+  // Shard s holds strictly smaller keys than shard s+1, so sorting each
+  // shard on its own and writing them in turn gives key order overall.
+  // Only the copy runs under the shard's mutex.
   std::vector<Entry> sorted;
-  sorted.reserve(size());
   for (size_t s = 0; s < kNumShards; ++s) {
     const Shard& shard = shards_[s];
-    const MutexLock lock(shard.mu);
-    shard.arena.ForEach([&](const Entry& entry) { sorted.push_back(entry); });
-  }
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
-  for (const Entry& entry : sorted) {
-    const Status status = writer->Add(entry.key, entry.payload, entry.seq);
-    if (!status.ok()) return status;
+    sorted.clear();
+    {
+      const MutexLock lock(shard.mu);
+      sorted.reserve(shard.arena.size());
+      shard.arena.ForEach([&](const Entry& entry) { sorted.push_back(entry); });
+    }
+    std::sort(sorted.begin(), sorted.end(), KeySeqLess);
+    for (const Entry& entry : sorted) {
+      const Status status = writer->Add(entry.key, entry.payload, entry.seq);
+      if (!status.ok()) return status;
+    }
   }
   return Status::OK();
 }

@@ -1,26 +1,31 @@
-// The write buffer of the storage engine: an unsorted in-memory batch of
-// (key, payload, seq) entries — puts and tombstones alike — that is sorted
-// once when flushed into a segment.
+// The write buffer of the storage engine: a batch of (key, payload, seq)
+// entries — puts and tombstones alike — kept in key-sorted blocks of
+// kBlockEntries, and fully sorted when flushed into a segment.
 //
 // Layout: the key space is split into kNumShards contiguous key ranges
 // (shard i covers keys [i*width, (i+1)*width)), each shard holding its own
-// Mutex and a bump-pointer arena of fixed-size entry blocks. Two effects:
+// Mutex and a bump-pointer arena of fixed-size entry blocks. Three effects:
 //
-//   - Inserts never relocate entries (a full block just links a new one),
-//     so buffering is a pointer bump instead of a vector's amortized
-//     realloc-and-copy, and a concurrent ScanRange can walk blocks while
-//     an insert appends to the tail block of the same shard (serialized
-//     only by that shard's mutex, held for the duration of the push).
+//   - Inserts never relocate entries across blocks (a full block just
+//     links a new one), so buffering is a pointer bump instead of a
+//     vector's amortized realloc-and-copy.
+//   - The insert that fills a block seals it: it sorts the block in place
+//     by (key, sequence) under the shard mutex, one 512-entry sort per
+//     512 inserts. A scan binary-searches each sealed block for its low
+//     key and stops past its high key; only the shard's partially filled
+//     tail block is walked entry by entry. A point read therefore costs
+//     one binary search per sealed block, not a walk of every entry.
 //   - Readers touch only the shards whose key range intersects their scan,
 //     so a query over a narrow key range never contends with an insert
 //     landing elsewhere in the key space.
 //
-// Sequence ordering for snapshot reads is preserved structurally: a key
-// always maps to the same shard, entries within a shard stay in insertion
-// order (== sequence order, the writer lock serializes appends), and
-// FlushTo concatenates shards in key-range order before a stable sort —
-// so same-key entries reach the segment in sequence order exactly as the
-// single-vector memtable delivered them.
+// Order: ScanRange delivers each sealed block's hits in key order, but
+// makes no promise across blocks or for the tail block; its one
+// production caller, SfcTable::NewRangesCursor, sorts its hits. FlushTo
+// sorts each shard by (key, sequence) and writes the shards in key-range
+// order, so same-key entries reach the segment in sequence order.
+// Sequences are unique, so that order is total and std::sort needs no
+// stability (nor std::stable_sort's heap buffer).
 //
 // Thread safety: Insert/ScanRange/ContainsSequence/FlushTo are internally
 // synchronized by the per-shard mutexes (annotated; see the lock catalog
@@ -92,42 +97,51 @@ class MemTable {
   /// by open-time batch-journal recovery, never on a hot path).
   bool ContainsSequence(uint64_t sequence) const;
 
-  /// Invokes fn(entry) for every entry with lo <= key <= hi. Within a
-  /// shard, entries arrive in insertion order; across shards, in key-range
-  /// order — callers needing a global order sort the hits themselves
-  /// (the cursor path always has). Tombstones are delivered too —
-  /// visibility and delete resolution belong to the cursor merge. Only
-  /// shards whose range intersects [lo, hi] are locked and walked.
+  /// Invokes fn(entry) for every entry with lo <= key <= hi. Each sealed
+  /// block's hits arrive in (key, sequence) order, found by a binary
+  /// search; the tail block is filtered entry by entry. There is no order
+  /// across blocks — callers needing a global order sort the hits
+  /// themselves (the cursor path always has). Tombstones are delivered too
+  /// — visibility and delete resolution belong to the cursor merge. Only
+  /// shards whose range intersects [lo, hi] are locked and searched.
   template <typename Fn>
   void ScanRange(Key lo, Key hi, Fn&& fn) const {
     const size_t last = ShardOf(hi);
     for (size_t s = ShardOf(lo); s <= last; ++s) {
       const Shard& shard = shards_[s];
       const MutexLock lock(shard.mu);
-      shard.arena.ForEach([&](const Entry& entry) {
-        if (entry.key >= lo && entry.key <= hi) fn(entry);
-      });
+      shard.arena.ForEachInRange(lo, hi, fn);
     }
   }
 
-  /// Streams the buffered entries into `writer` in key order (stable sort
-  /// over the shard concatenation, so same-key entries keep insertion
-  /// order == sequence order). Copies the entries out — the memtable
-  /// itself is not modified, so concurrent readers are undisturbed. The
-  /// caller still owns writer->Finish().
+  /// Streams the buffered entries into `writer` in (key, sequence) order:
+  /// one shard at a time, copied out under its mutex and sorted outside
+  /// it. The memtable itself is not modified, so concurrent readers are
+  /// undisturbed. The caller still owns writer->Finish().
   Status FlushTo(SegmentWriter* writer) const;
 
  private:
+  /// The order of sealed blocks and of flushed segments. Sequences are
+  /// unique, so no two entries compare equal.
+  static bool KeySeqLess(const Entry& a, const Entry& b) {
+    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
+  }
+
   /// Bump-pointer arena: entries land in fixed-size blocks that never
   /// move, linked in allocation order. Growth allocates one block; no
-  /// existing entry is ever copied.
+  /// entry ever leaves its block. A full block is sealed: sorted in place
+  /// by KeySeqLess.
   class EntryArena {
    public:
-    Entry* Push() {
+    void Push(const Entry& entry) {
       const size_t used = size_ % kBlockEntries;
       if (used == 0) blocks_.push_back(std::make_unique<Block>());
+      Block& block = *blocks_.back();
+      block[used] = entry;
       ++size_;
-      return &(*blocks_.back())[used];
+      if (used + 1 == kBlockEntries) {
+        std::sort(block.begin(), block.end(), KeySeqLess);
+      }
     }
 
     template <typename Fn>
@@ -137,6 +151,26 @@ class MemTable {
         const size_t in_block = std::min(remaining, kBlockEntries);
         for (size_t i = 0; i < in_block; ++i) fn((*block)[i]);
         remaining -= in_block;
+      }
+    }
+
+    /// fn(entry) for every entry with lo <= key <= hi: a binary search
+    /// per sealed block, a linear filter over the tail block.
+    template <typename Fn>
+    void ForEachInRange(Key lo, Key hi, Fn&& fn) const {
+      const size_t sealed = size_ / kBlockEntries;
+      for (size_t b = 0; b < sealed; ++b) {
+        const Block& block = *blocks_[b];
+        auto it = std::lower_bound(
+            block.begin(), block.end(), lo,
+            [](const Entry& entry, Key key) { return entry.key < key; });
+        for (; it != block.end() && it->key <= hi; ++it) fn(*it);
+      }
+      const size_t tail = size_ % kBlockEntries;
+      if (tail == 0) return;
+      const Block& block = *blocks_.back();
+      for (size_t i = 0; i < tail; ++i) {
+        if (block[i].key >= lo && block[i].key <= hi) fn(block[i]);
       }
     }
 

@@ -168,6 +168,11 @@ Status SegmentWriter::Finish() {
     PutU64(record + 16, pages_[i].first_key);
     PutU64(record + 24, pages_[i].last_key);
   }
+  // The writer keeps only what its accessors return: the page buffer and
+  // page metadata go now, not when the owner destroys the writer
+  // (compaction keeps every output writer until its merge ends).
+  std::vector<Entry>().swap(page_buf_);
+  std::vector<PageMeta>().swap(pages_);
   status_ = file_.Append(footer.data(), footer.size());
   if (!status_.ok()) return status_;
 

@@ -101,6 +101,9 @@ class SegmentWriter {
   /// returns OK may the segment be referenced by a MANIFEST — the sync
   /// ordering guarantees a crash can never leave a manifest pointing at a
   /// torn or unlinked segment. No further Add() calls are allowed.
+  /// Releases the writer's buffers (page buffer, page metadata, bloom
+  /// hashes) as soon as the footer is built, so a finished writer holds
+  /// only what num_entries() and path() return.
   Status Finish();
 
   uint64_t num_entries() const { return num_entries_; }

@@ -342,7 +342,9 @@ TEST(NetServerTest, PipelinedRequestsComeBackInOrder) {
     ASSERT_TRUE(client.ReadResponse(&response).ok());
     EXPECT_EQ(response.request_id, ids[i]);  // strict request order
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    if (i >= 200) EXPECT_EQ(response.payloads.size(), 1u);
+    if (i >= 200) {
+      EXPECT_EQ(response.payloads.size(), 1u);
+    }
   }
 }
 

@@ -48,7 +48,9 @@ std::vector<Row> DrainIndexCursor(Cursor* cursor, const SfcTable& base,
     const SpatialEntry& e = cursor->entry();
     const Cell index_cell = extractor.map(e.cell, base.curve().universe());
     const Key index_key = index.curve().IndexOf(index_cell);
-    if (have_prev) EXPECT_GE(index_key, prev_key);
+    if (have_prev) {
+      EXPECT_GE(index_key, prev_key);
+    }
     prev_key = index_key;
     have_prev = true;
     rows.emplace_back(base.curve().IndexOf(e.cell), e.payload);

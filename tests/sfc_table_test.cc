@@ -188,6 +188,81 @@ TEST(SfcTableTest, UnflushedMemtableEntriesAreVisible) {
   EXPECT_EQ(table.io_stats().page_reads, 0u);  // served without disk I/O
 }
 
+// Point Gets against a model while the memtable fills: empty, under one
+// sealed block per shard, and many sealed blocks per shard, with Deletes
+// mixed in, a snapshot pinned part-way, and a rotation that leaves a
+// pending memtable behind the active one.
+TEST(SfcTableTest, GetMatchesModelAsTheMemtableFills) {
+  constexpr Coord kSide = 64;
+  const Universe universe(2, kSide);
+  SfcTableOptions options;
+  options.memtable_flush_entries = 16384;  // ~4 sealed blocks per shard
+  auto table_result =
+      SfcTable::Create(FreshDir("get_model"), "onion", universe, options);
+  ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
+  auto& table = *table_result.value();
+
+  using Model = std::vector<std::vector<uint64_t>>;  // by cell id, sorted
+  Model model(kSide * kSide);
+  const auto cell_of = [](size_t id) {
+    return Cell(static_cast<Coord>(id % kSide), static_cast<Coord>(id / kSide));
+  };
+  uint64_t next_payload = 0;
+  // `count` ops on seeded random cells; every `delete_every`-th is a
+  // Delete (0: none).
+  const auto apply = [&](size_t count, uint64_t seed, size_t delete_every) {
+    const std::vector<Cell> cells = RandomPoints(universe, count, seed);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const size_t id = cells[i][1] * kSide + cells[i][0];
+      if (delete_every != 0 && i % delete_every == delete_every - 1) {
+        ASSERT_TRUE(table.Delete(cells[i]).ok());
+        model[id].clear();
+      } else {
+        ASSERT_TRUE(table.Insert(cells[i], next_payload).ok());
+        model[id].push_back(next_payload++);
+      }
+    }
+  };
+  const auto expect_gets = [&](const Model& expected,
+                               const ReadOptions& read_options,
+                               const std::string& stage) {
+    for (size_t id = 0; id < expected.size(); ++id) {
+      auto got = table.Get(cell_of(id), read_options);
+      ASSERT_TRUE(got.ok()) << stage << ": " << got.status().ToString();
+      std::sort(got.value().begin(), got.value().end());
+      ASSERT_EQ(got.value(), expected[id]) << stage << ", cell " << id;
+    }
+  };
+
+  apply(3000, 1, 0);
+  ASSERT_TRUE(table.Flush().ok());
+  expect_gets(model, ReadOptions{}, "0 unflushed");
+
+  apply(300, 2, 10);  // under 512 per shard: no block sealed yet
+  expect_gets(model, ReadOptions{}, "under one block");
+  const auto snapshot = table.GetSnapshot();
+  const Model at_snapshot = model;
+  ReadOptions at_pin;
+  at_pin.snapshot = snapshot.get();
+
+  apply(options.memtable_flush_entries - 300, 3, 7);  // fills to the flush size
+  ASSERT_EQ(table.pending_memtables(), 0u);
+  expect_gets(model, ReadOptions{}, "many blocks");
+  expect_gets(at_snapshot, at_pin, "snapshot over many blocks");
+
+  // The next write rotates the full memtable into the flush queue. The
+  // Gets right after it merge the pending memtable (until the background
+  // flush installs its segment) with the new active one.
+  apply(1, 4, 0);
+  expect_gets(model, ReadOptions{}, "right after rotation");
+  apply(2000, 5, 5);
+  expect_gets(model, ReadOptions{}, "after rotation");
+  expect_gets(at_snapshot, at_pin, "snapshot after rotation");
+  ASSERT_TRUE(table.Flush().ok());
+  expect_gets(model, ReadOptions{}, "flushed");
+  expect_gets(at_snapshot, at_pin, "snapshot flushed");
+}
+
 TEST(SfcTableTest, InsertOutsideUniverseFails) {
   const Universe universe(2, 32);
   auto table_result = SfcTable::Create(FreshDir("outside"), "hilbert",
