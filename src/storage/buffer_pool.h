@@ -1,8 +1,8 @@
 // A buffer pool shared by every open run of the storage engine.
 //
-// Generalizes the single-run LRU pool from index/pager.h: frames are keyed
-// by (source, page) so one pool arbitrates memory across the memtable's
-// flushed segments, a compacted run, and any in-memory sources at once.
+// Frames are keyed by (source, page) so one LRU pool arbitrates memory
+// across the memtable's flushed segments, a compacted run, and any
+// in-memory sources at once.
 // Accounting keeps the paper's sequential-vs-seek distinction: a disk read
 // is sequential only when it targets the page immediately after the
 // previous disk read *of the same source* — switching runs always seeks,
@@ -51,8 +51,7 @@ class BufferPool {
   /// (relaxed atomics), attributing the I/O to one client of a shared pool.
   /// A failed page read (e.g. Status::Corruption from a checksum mismatch)
   /// returns nullptr with the error in `*status` when given; with no
-  /// status sink the failure is fatal (CHECK), preserving the legacy
-  /// simulation contract.
+  /// status sink the failure is fatal (CHECK).
   ///
   /// With readahead enabled, a miss extends into ONE batched read over the
   /// run of pages following `page` (stopping at the source's end, at an

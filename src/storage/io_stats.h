@@ -1,6 +1,5 @@
-// Physical I/O counters shared by every page-serving component (the legacy
-// single-run pager in index/pager.h, the multi-segment buffer pool, and the
-// SfcTable facade). Kept in the top-level onion namespace because the
+// Physical I/O counters shared by every page-serving component (the
+// multi-segment buffer pool and the SfcTable facade). Kept in the top-level onion namespace because the
 // counters predate the storage subsystem and are part of its public
 // benchmark vocabulary.
 

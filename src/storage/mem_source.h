@@ -1,9 +1,7 @@
 // The in-memory PageSource backend: a sorted std::vector of entries packed
-// into logical pages. This is the original "simulated disk" from
-// index/pager.h, now one interchangeable backend of the storage engine —
+// into logical pages, interchangeable with the file-backed SegmentReader —
 // useful for tests, for modeling layouts before persisting them, and as
-// the reference implementation the file-backed SegmentReader must agree
-// with.
+// the reference implementation the SegmentReader must agree with.
 
 #ifndef ONION_STORAGE_MEM_SOURCE_H_
 #define ONION_STORAGE_MEM_SOURCE_H_

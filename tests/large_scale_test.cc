@@ -8,8 +8,8 @@
 #include "analysis/clustering.h"
 #include "common/rng.h"
 #include "index/decompose.h"
-#include "index/pager.h"
 #include "sfc/registry.h"
+#include "storage/mem_source.h"
 
 namespace onion {
 namespace {
@@ -167,13 +167,13 @@ TEST(ContractDeathTest, BoxCornersOutOfOrderAbort) {
   EXPECT_DEATH(Box(Cell(5, 5), Cell(4, 6)), "out of order");
 }
 
-void BuildUnsortedRun() {
-  std::vector<PackedRun::Entry> entries = {{5, 0}, {3, 1}};
-  PackedRun run(std::move(entries), 4);
+void BuildUnsortedSource() {
+  std::vector<storage::Entry> entries = {{5, 0}, {3, 1}};
+  storage::MemPageSource source(std::move(entries), 4);
 }
 
-TEST(ContractDeathTest, PackedRunRequiresSortedInput) {
-  EXPECT_DEATH(BuildUnsortedRun(), "sorted");
+TEST(ContractDeathTest, MemPageSourceRequiresSortedInput) {
+  EXPECT_DEATH(BuildUnsortedSource(), "sorted");
 }
 
 }  // namespace

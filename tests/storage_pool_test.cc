@@ -1,7 +1,8 @@
-// Tests for the multi-source buffer pool: scans against a reference over
-// disk-backed segments, LRU eviction across several sources, per-source
-// sequential-vs-seek accounting, fence-only termination (no page I/O past
-// the range), and Drop() of retired sources.
+// Tests for the in-memory page source and the multi-source buffer pool:
+// page geometry and the PageOf fence search, scans against a reference
+// over disk-backed segments, LRU eviction across several sources,
+// per-source sequential-vs-seek accounting, fence-only termination (no
+// page I/O past the range), and Drop() of retired sources.
 
 #include <algorithm>
 #include <cstdio>
@@ -37,6 +38,71 @@ std::vector<Key> SequentialKeys(size_t n) {
   std::vector<Key> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = i;
   return keys;
+}
+
+MemPageSource MakeMemSource(const std::vector<Key>& keys,
+                            uint32_t entries_per_page) {
+  std::vector<Entry> entries;
+  entries.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) entries.push_back({keys[i], i});
+  return MemPageSource(std::move(entries), entries_per_page);
+}
+
+TEST(MemPageSourceTest, PageGeometry) {
+  const MemPageSource source = MakeMemSource({1, 2, 3, 4, 5, 6, 7}, 3);
+  EXPECT_EQ(source.num_entries(), 7u);
+  EXPECT_EQ(source.num_pages(), 3u);
+  EXPECT_EQ(source.PageBegin(1), 3u);
+  EXPECT_EQ(source.PageEnd(1), 6u);
+  EXPECT_EQ(source.PageEnd(2), 7u);  // last page partially filled
+  EXPECT_EQ(source.first_key(2), 7u);
+  EXPECT_EQ(source.last_key(2), 7u);
+}
+
+TEST(MemPageSourceTest, PageOfFenceSearch) {
+  // Pages: [10, 20, 30] [40, 50, 60] [70].
+  const MemPageSource source =
+      MakeMemSource({10, 20, 30, 40, 50, 60, 70}, 3);
+  EXPECT_EQ(source.PageOf(5), 0u);  // before everything
+  EXPECT_EQ(source.PageOf(10), 0u);
+  EXPECT_EQ(source.PageOf(30), 0u);  // last entry of page 0
+  EXPECT_EQ(source.PageOf(35), 1u);  // first entry >= 35 is 40, on page 1
+  EXPECT_EQ(source.PageOf(40), 1u);
+  EXPECT_EQ(source.PageOf(69), 2u);  // first entry >= 69 is 70
+  EXPECT_EQ(source.PageOf(70), 2u);
+  EXPECT_EQ(source.PageOf(1000), 3u);  // nothing qualifies
+}
+
+TEST(MemPageSourceTest, DuplicateKeysAcrossPages) {
+  // Pages: [5, 5] [5, 5] [5, 8]. PageOf(5) must be the FIRST page whose
+  // span can contain key 5.
+  const MemPageSource source = MakeMemSource({5, 5, 5, 5, 5, 8}, 2);
+  EXPECT_EQ(source.PageOf(5), 0u);
+  EXPECT_EQ(source.PageOf(6), 2u);
+  EXPECT_EQ(source.PageOf(8), 2u);
+}
+
+TEST(MemPageSourceTest, EmptySourceScansNothing) {
+  const MemPageSource source = MakeMemSource({}, 4);
+  EXPECT_EQ(source.num_pages(), 0u);
+  EXPECT_EQ(source.PageOf(0), 0u);
+  BufferPool pool(2);
+  uint64_t visited = 0;
+  pool.ScanRange(source, 0, 100, [&](Key, uint64_t) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(pool.stats().page_reads, 0u);
+  EXPECT_EQ(pool.stats().seeks, 0u);
+}
+
+TEST(MemPageSourceTest, DisjointRangesCountOneSeekEach) {
+  const MemPageSource source = MakeMemSource(SequentialKeys(100), 10);
+  BufferPool pool(100);
+  pool.ScanRange(source, 0, 9, [](Key, uint64_t) {});    // page 0
+  pool.ScanRange(source, 50, 59, [](Key, uint64_t) {});  // page 5
+  pool.ScanRange(source, 90, 99, [](Key, uint64_t) {});  // page 9
+  EXPECT_EQ(pool.stats().page_reads, 3u);
+  EXPECT_EQ(pool.stats().seeks, 3u);
+  EXPECT_EQ(pool.stats().entries_read, 30u);
 }
 
 TEST(StoragePoolTest, DiskScanMatchesReference) {
