@@ -1,22 +1,28 @@
 // Quickstart: the 60-second tour of the onion-curve library.
 //
-//   build/examples/quickstart
+//   build/examples/quickstart [--dir=<tmp>/onion_quickstart]
 //
 // Creates curves, maps cells to keys and back, computes clustering numbers
-// of a rectangular query under several curves, and runs one spatial-index
-// query end to end.
+// of a rectangular query under several curves, and runs one box query end
+// to end against a one-table SfcDb.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "analysis/clustering.h"
-#include "index/spatial_index.h"
+#include "common/cli.h"
 #include "sfc/registry.h"
+#include "storage/sfc_db.h"
 #include "workloads/generators.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace onion;
+  const CommandLine cli(argc, argv);
+  const std::string dir = cli.GetString(
+      "dir",
+      (std::filesystem::temp_directory_path() / "onion_quickstart").string());
 
   // 1. A 2D universe and the onion curve over it.
   const Universe universe(2, 256);
@@ -41,27 +47,32 @@ int main() {
                     ClusteringNumber(*curve, query)));
   }
 
-  // 3. A spatial index: insert points, run a box query, inspect the seek
-  // count (== clustering number of the query box).
-  SpatialIndex index(MakeCurve("onion", universe).value());
+  // 3. A persistent table keyed by the onion curve: insert points, run the
+  // box query through a cursor, and read back how many key ranges it
+  // scanned (== the clustering number above) and how many seeks it cost.
+  std::filesystem::remove_all(dir);
+  storage::SfcDbOptions options;
+  options.table_options.entries_per_page = 16;  // few ranges share a page
+  auto db = storage::SfcDb::Open(dir, options);
+  ONION_CHECK_MSG(db.ok(), db.status().ToString().c_str());
+  auto table = db.value()->CreateTable("points", "onion", universe);
+  ONION_CHECK_MSG(table.ok(), table.status().ToString().c_str());
   const auto points = RandomPoints(universe, 10000, /*seed=*/1);
-  for (size_t i = 0; i < points.size(); ++i) index.Insert(points[i], i);
-
-  auto cursor = index.NewBoxCursor(query);
-  const auto results = DrainCursor(cursor.get());
-  std::printf("\nspatial index: %zu points in %s, %llu seeks\n",
-              results.size(), query.ToString().c_str(),
-              static_cast<unsigned long long>(index.stats().ranges));
-
-  // 4. The same query against a Hilbert-backed index for comparison.
-  SpatialIndex hilbert_index(MakeCurve("hilbert", universe).value());
   for (size_t i = 0; i < points.size(); ++i) {
-    hilbert_index.Insert(points[i], i);
+    ONION_CHECK(table.value()->Insert(points[i], i).ok());
   }
-  auto hilbert_cursor = hilbert_index.NewBoxCursor(query);
-  const auto hilbert_results = DrainCursor(hilbert_cursor.get());
-  std::printf("hilbert index: %zu points, %llu seeks\n",
-              hilbert_results.size(),
-              static_cast<unsigned long long>(hilbert_index.stats().ranges));
+  ONION_CHECK(table.value()->Flush().ok());
+
+  table.value()->ResetStats();
+  auto cursor = table.value()->NewBoxCursor(query);
+  const auto results = DrainCursor(cursor.get());
+  ONION_CHECK(cursor->status().ok());
+  std::printf("\nonion table: %zu points in %s, %llu key ranges, %llu seeks\n",
+              results.size(), query.ToString().c_str(),
+              static_cast<unsigned long long>(
+                  table.value()->read_stats().ranges),
+              static_cast<unsigned long long>(
+                  table.value()->io_stats().seeks));
+  ONION_CHECK(db.value()->Close().ok());
   return 0;
 }

@@ -21,35 +21,6 @@ std::vector<SpatialEntry> DrainCursor(Cursor* cursor) {
 
 namespace {
 
-/// Iterates an eagerly-materialized result vector; `limit` is the only
-/// ReadOptions bound that applies (there are no pages to budget).
-class VectorCursor final : public Cursor {
- public:
-  VectorCursor(std::vector<SpatialEntry> entries, const ReadOptions& options)
-      : entries_(std::move(entries)), limit_(options.limit) {}
-
-  bool Valid() const override {
-    return pos_ < entries_.size() && (limit_ == 0 || pos_ < limit_);
-  }
-  void Next() override {
-    ONION_CHECK(Valid());
-    ++pos_;
-  }
-  const SpatialEntry& entry() const override {
-    ONION_CHECK(Valid());
-    return entries_[pos_];
-  }
-  Status status() const override { return Status::OK(); }
-  bool hit_read_budget() const override {
-    return limit_ != 0 && pos_ >= limit_ && pos_ < entries_.size();
-  }
-
- private:
-  const std::vector<SpatialEntry> entries_;
-  const uint64_t limit_;
-  size_t pos_ = 0;
-};
-
 /// Invalid from birth; carries the error that prevented iteration.
 class ErrorCursor final : public Cursor {
  public:
@@ -71,11 +42,6 @@ class ErrorCursor final : public Cursor {
 };
 
 }  // namespace
-
-std::unique_ptr<Cursor> NewVectorCursor(std::vector<SpatialEntry> entries,
-                                        const ReadOptions& options) {
-  return std::make_unique<VectorCursor>(std::move(entries), options);
-}
 
 std::unique_ptr<Cursor> NewErrorCursor(Status status) {
   return std::make_unique<ErrorCursor>(std::move(status));

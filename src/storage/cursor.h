@@ -1,14 +1,12 @@
-// The streaming query primitive shared by the in-memory SpatialIndex and
-// the persistent SfcTable.
+// The streaming query primitive of the persistent SfcTable.
 //
 // A Cursor is a pull-based iterator over the entries of one box query (or a
 // full scan): the caller drives it with Valid()/Next()/entry() and may stop
 // at any point, so a query over a huge region no longer materializes its
-// whole result set before the first entry is seen. Both engines hand out
-// the same interface — SfcTable::NewBoxCursor() streams from a consistent
-// snapshot of segment files and frozen memtables through the buffer pool,
-// SpatialIndex::NewBoxCursor() streams from the B+-tree — so callers can
-// swap the in-memory and on-disk paths without code changes.
+// whole result set before the first entry is seen. SfcTable::NewBoxCursor()
+// streams from a consistent snapshot of segment files and frozen memtables
+// through the buffer pool; SfcDb::NewIndexCursor() wraps such a cursor to
+// resolve secondary-index hits.
 //
 // Errors travel through status() instead of silently-empty results: a
 // cursor over an invalid box (or a table with a background error) is
@@ -21,18 +19,16 @@
 // error, but it is observable.
 //
 // SpatialEntry and the cursor vocabulary live in the top-level onion
-// namespace (like IoStats) because they are shared between src/index and
-// src/storage; the storage-snapshot cursor factory lives in onion::storage.
-// This header deliberately stays lightweight — the storage machinery
-// (SegmentReader, BufferPool, the curve) is only forward-declared, so the
-// purely in-memory index layer does not transitively include the disk
-// engine's headers.
+// namespace (like IoStats); the storage-snapshot cursor factory lives in
+// onion::storage. This header deliberately stays lightweight — the storage
+// machinery (SegmentReader, BufferPool, the curve) is only
+// forward-declared.
 //
 // Lifetime: a cursor snapshots immutable state (segment readers are kept
 // alive via shared_ptr even across compaction; matching memtable entries
 // are copied at creation), but it borrows its engine's curve, buffer pool,
-// and stats sinks — a cursor must not outlive the SfcTable / SpatialIndex
-// that produced it.
+// and stats sinks — a cursor must not outlive the SfcTable that produced
+// it.
 
 #ifndef ONION_STORAGE_CURSOR_H_
 #define ONION_STORAGE_CURSOR_H_
@@ -56,9 +52,8 @@ class SpaceFillingCurve;
 struct KeyRange;
 
 /// A spatial point with an opaque payload id (the unit every query
-/// interface returns; historically defined in index/spatial_index.h).
-/// `seq` is the sequence number the write carried (0 for pre-versioning
-/// data and for the in-memory SpatialIndex, which has no versions).
+/// interface returns). `seq` is the sequence number the write carried
+/// (0 for pre-versioning data).
 struct SpatialEntry {
   Cell cell;
   uint64_t payload = 0;
@@ -83,12 +78,11 @@ struct ReadOptions {
   /// Stop after this many entries have been delivered.
   uint64_t limit = 0;
   /// Stop before touching more than this many pages (buffer-pool fetches,
-  /// resident or not). Storage cursors only; ignored in memory.
+  /// resident or not).
   uint64_t max_pages = 0;
   /// Stop before fetching more than this many bytes of page data, counted
   /// in ON-DISK (encoded) bytes — the same unit as IoStats::disk_bytes, so
   /// the budget bounds real I/O regardless of the segment codec.
-  /// Storage cursors only; ignored in memory.
   uint64_t max_bytes = 0;
   /// Read at this pinned sequence instead of "latest": entries (and
   /// tombstones) with a higher sequence are invisible, so any number of
@@ -96,7 +90,7 @@ struct ReadOptions {
   /// matter how many inserts, deletes, flushes, or compactions run in
   /// between (repeatable reads). Null reads the latest state. The
   /// snapshot must stay pinned (its shared_ptr alive) while this read
-  /// runs. Ignored by the in-memory SpatialIndex, which is unversioned.
+  /// runs.
   const Snapshot* snapshot = nullptr;
 };
 
@@ -131,19 +125,14 @@ class Cursor {
   virtual bool hit_read_budget() const { return false; }
 
   /// Page fetches this cursor avoided through segment filters: bloom
-  /// negatives on point ranges and zone-map-excluded pages. 0 for
-  /// in-memory cursors (nothing to skip).
+  /// negatives on point ranges and zone-map-excluded pages. 0 for cursors
+  /// that read no pages.
   virtual uint64_t pages_skipped_by_filter() const { return 0; }
 };
 
 /// Drains `cursor` into a vector (entries in cursor order). A convenience
 /// for callers that do want full materialization.
 std::vector<SpatialEntry> DrainCursor(Cursor* cursor);
-
-/// A cursor over an already-materialized result vector (sorted by the
-/// producer); honors options.limit. The in-memory SpatialIndex uses this.
-std::unique_ptr<Cursor> NewVectorCursor(std::vector<SpatialEntry> entries,
-                                        const ReadOptions& options);
 
 /// An immediately-invalid cursor carrying `status` (must not be OK).
 std::unique_ptr<Cursor> NewErrorCursor(Status status);

@@ -1,8 +1,7 @@
 // SfcTable: the end-to-end persistent spatial table — crash-safe and
 // concurrent.
 //
-// The disk-backed twin of SpatialIndex (index/spatial_index.h): points are
-// mapped to keys by any registered space-filling curve, logged to a
+// Points are mapped to keys by any registered space-filling curve, logged to a
 // write-ahead log (storage/wal.h), buffered in a memtable, flushed by a
 // background worker into sorted level-0 segment files, and leveled by
 // background compaction into non-overlapping runs per level. Queries
@@ -89,8 +88,8 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "index/decompose.h"
 #include "index/disk_model.h"
-#include "index/spatial_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sfc/curve.h"

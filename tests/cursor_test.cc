@@ -1,6 +1,6 @@
 // Streaming-cursor tests: box-cursor vs Query() equivalence on mixed
-// memtable + L0 + deeper-level state, SfcTable vs SpatialIndex cursor
-// interchangeability, limit / page-budget early exit with page accounting,
+// memtable + L0 + deeper-level state, box and scan cursors vs a
+// brute-force filter, limit / page-budget early exit with page accounting,
 // snapshot isolation, and cursor-outlives-compaction safety (also run
 // under the CI TSan job).
 
@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "index/spatial_index.h"
+#include "brute_force.h"
 #include "sfc/registry.h"
 #include "storage/sfc_table.h"
 #include "workloads/generators.h"
@@ -26,19 +26,6 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/cursor_test/" + name;
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-/// Canonical form for comparing result sets: sorted (key, payload) pairs
-/// under the producing curve.
-std::vector<std::pair<Key, uint64_t>> Canonical(
-    const SpaceFillingCurve& curve, const std::vector<SpatialEntry>& entries) {
-  std::vector<std::pair<Key, uint64_t>> out;
-  out.reserve(entries.size());
-  for (const SpatialEntry& entry : entries) {
-    out.emplace_back(curve.IndexOf(entry.cell), entry.payload);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 /// Pages touched since the last ResetStats (resident or not).
@@ -96,70 +83,56 @@ TEST(CursorTest, BoxCursorMatchesQueryOnMixedState) {
 }
 #pragma GCC diagnostic pop
 
-TEST(CursorTest, SfcTableAndSpatialIndexCursorsAgree) {
+TEST(CursorTest, BoxAndScanCursorsMatchBruteForce) {
   const Universe universe(2, 64);
   const auto points = ClusteredPoints(universe, 3000, 5, 8, 227);
   const auto boxes = RandomCubes(universe, 16, 20, 229);
   SfcTableOptions options;
   options.memtable_flush_entries = 500;
   auto table_result =
-      SfcTable::Create(FreshDir("vs_index"), "hilbert", universe, options);
+      SfcTable::Create(FreshDir("brute_force"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
-  SpatialIndex index(MakeCurve("hilbert", universe).value());
   for (size_t i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(table.Insert(points[i], i).ok());
-    index.Insert(points[i], i);
   }
   ASSERT_TRUE(table.Flush().ok());
   for (const Box& box : boxes) {
-    // The two engines expose the same cursor interface; drive them
-    // identically and compare.
-    auto table_cursor = table.NewBoxCursor(box);
-    auto index_cursor = index.NewBoxCursor(box);
-    EXPECT_EQ(Canonical(table.curve(), DrainCursor(table_cursor.get())),
-              Canonical(index.curve(), DrainCursor(index_cursor.get())))
+    auto cursor = table.NewBoxCursor(box);
+    EXPECT_EQ(Canonical(table.curve(), DrainCursor(cursor.get())),
+              BruteForce(table.curve(), points, box))
         << box.ToString();
-    EXPECT_TRUE(table_cursor->status().ok());
-    EXPECT_TRUE(index_cursor->status().ok());
+    EXPECT_TRUE(cursor->status().ok());
   }
-  // Full scans agree too (and match size()).
-  auto table_scan = table.NewScanCursor();
-  auto index_scan = index.NewScanCursor();
-  const auto table_all = DrainCursor(table_scan.get());
-  EXPECT_EQ(table_all.size(), points.size());
-  EXPECT_EQ(Canonical(table.curve(), table_all),
-            Canonical(index.curve(), DrainCursor(index_scan.get())));
+  // The full scan delivers every point (and matches size()).
+  auto scan = table.NewScanCursor();
+  const auto all = DrainCursor(scan.get());
+  EXPECT_TRUE(scan->status().ok());
+  EXPECT_EQ(all.size(), points.size());
+  EXPECT_EQ(Canonical(table.curve(), all),
+            BruteForce(table.curve(), points, Box(Cell(0, 0), Cell(63, 63))));
 }
 
-TEST(CursorTest, GetMatchesBetweenEngines) {
+TEST(CursorTest, GetReturnsEveryPayloadAtTheCell) {
   const Universe universe(2, 32);
   auto table_result = SfcTable::Create(FreshDir("get"), "onion", universe,
                                        SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
-  SpatialIndex index(MakeCurve("onion", universe).value());
   const Cell cell(7, 9);
   for (uint64_t payload : {3u, 1u, 4u}) {
     ASSERT_TRUE(table.Insert(cell, payload).ok());
-    index.Insert(cell, payload);
   }
   ASSERT_TRUE(table.Flush().ok());
   auto from_table = table.Get(cell);
-  auto from_index = index.Get(cell);
   ASSERT_TRUE(from_table.ok());
-  ASSERT_TRUE(from_index.ok());
   auto table_payloads = from_table.value();
-  auto index_payloads = from_index.value();
   std::sort(table_payloads.begin(), table_payloads.end());
-  std::sort(index_payloads.begin(), index_payloads.end());
   EXPECT_EQ(table_payloads, (std::vector<uint64_t>{1, 3, 4}));
-  EXPECT_EQ(table_payloads, index_payloads);
   EXPECT_TRUE(table.Get(Cell(5, 5)).ok());
   EXPECT_TRUE(table.Get(Cell(5, 5)).value().empty());
   // Outside the universe: a Status, not a crash or an empty vector.
   EXPECT_EQ(table.Get(Cell(32, 0)).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(index.Get(Cell(32, 0)).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(CursorTest, InvalidBoxYieldsErrorCursorNotEmptyResult) {
@@ -171,11 +144,6 @@ TEST(CursorTest, InvalidBoxYieldsErrorCursorNotEmptyResult) {
   auto cursor = table_result.value()->NewBoxCursor(outside);
   EXPECT_FALSE(cursor->Valid());
   EXPECT_EQ(cursor->status().code(), StatusCode::kInvalidArgument);
-
-  SpatialIndex index(MakeCurve("hilbert", universe).value());
-  auto index_cursor = index.NewBoxCursor(outside);
-  EXPECT_FALSE(index_cursor->Valid());
-  EXPECT_EQ(index_cursor->status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CursorTest, LimitStopsEarlyAndReadsFewerPages) {
@@ -255,17 +223,15 @@ TEST(CursorTest, MaxPagesBudgetBoundsFetches) {
 
 TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {
   // The flag must mean "stopped early", never "delivered exactly limit":
-  // limit == result count reads as clean exhaustion on both engines.
+  // limit == result count reads as clean exhaustion.
   const Universe universe(2, 32);
   auto table_result = SfcTable::Create(FreshDir("budget_flag"), "hilbert",
                                        universe, SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
-  SpatialIndex index(MakeCurve("hilbert", universe).value());
   const Box box(Cell(0, 0), Cell(7, 7));
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(table.Insert(Cell(i, i), i).ok());
-    index.Insert(Cell(i, i), i);
   }
   ASSERT_TRUE(table.Flush().ok());
 
@@ -282,11 +248,7 @@ TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {
   check(table.NewBoxCursor(box, exact).get(), 5, false, "table exact");
   check(table.NewBoxCursor(box, truncating).get(), 3, true,
         "table truncated");
-  check(index.NewBoxCursor(box, exact).get(), 5, false, "index exact");
-  check(index.NewBoxCursor(box, truncating).get(), 3, true,
-        "index truncated");
   check(table.NewBoxCursor(box).get(), 5, false, "table unbounded");
-  check(index.NewBoxCursor(box).get(), 5, false, "index unbounded");
 }
 
 TEST(CursorTest, MaxBytesBudgetCountsOnDiskBytes) {
@@ -415,14 +377,11 @@ TEST(CursorTest, ZoneMapsSkipPagesOutsideTheQueryBox) {
       SfcTable::Create(FreshDir("zone_skip"), "zorder", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
-  SpatialIndex reference(MakeCurve("zorder", universe).value());
-  uint64_t payload = 0;
+  std::vector<Cell> points;
   for (Coord y = 0; y < 64; ++y) {
     for (Coord x = 0; x < 16; ++x) {
-      const Cell cell(x, y);
-      ASSERT_TRUE(table.Insert(cell, payload).ok());
-      reference.Insert(cell, payload);
-      ++payload;
+      ASSERT_TRUE(table.Insert(Cell(x, y), points.size()).ok());
+      points.emplace_back(x, y);
     }
   }
   ASSERT_TRUE(table.Compact().ok());
@@ -431,9 +390,8 @@ TEST(CursorTest, ZoneMapsSkipPagesOutsideTheQueryBox) {
   for (Coord y = 0; y + 8 < 64; y += 7) {
     const Box box(Cell(16, y), Cell(31, y + 8));
     auto cursor = table.NewBoxCursor(box);
-    auto index_cursor = reference.NewBoxCursor(box);
     EXPECT_EQ(Canonical(table.curve(), DrainCursor(cursor.get())),
-              Canonical(reference.curve(), DrainCursor(index_cursor.get())));
+              BruteForce(table.curve(), points, box));
     EXPECT_TRUE(cursor->status().ok());
     skipped += cursor->pages_skipped_by_filter();
   }
@@ -443,9 +401,8 @@ TEST(CursorTest, ZoneMapsSkipPagesOutsideTheQueryBox) {
   // And skipping loses nothing on boxes that DO contain data.
   for (const Box& box : RandomCubes(Universe(2, 16), 6, 15, 283)) {
     auto cursor = table.NewBoxCursor(box);
-    auto index_cursor = reference.NewBoxCursor(box);
     EXPECT_EQ(Canonical(table.curve(), DrainCursor(cursor.get())),
-              Canonical(reference.curve(), DrainCursor(index_cursor.get())))
+              BruteForce(table.curve(), points, box))
         << box.ToString();
   }
 }

@@ -1,6 +1,7 @@
 // Tests for query-box -> key-range decomposition: the hierarchical and
 // cluster-scan algorithms must produce identical minimal range sets, whose
 // cardinality is the clustering number and whose union is exactly the box.
+// Also the DiskModel that prices those ranges as seeks.
 
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 #include "analysis/boxiter.h"
 #include "common/rng.h"
 #include "index/decompose.h"
+#include "index/disk_model.h"
 #include "sfc/registry.h"
 
 namespace onion {
@@ -198,6 +200,24 @@ TEST(DecomposeTest, RangeCountEqualsClusteringNumber) {
             ClusteringNumber(*hilbert, box));
   EXPECT_EQ(DecomposeBox(*onion, box).size(),
             ClusteringNumber(*onion, box));
+}
+
+TEST(DiskModelTest, LatencyEstimates) {
+  const DiskModel hdd = DiskModel::Hdd();
+  EXPECT_DOUBLE_EQ(hdd.EstimateMs(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(hdd.EstimateMs(2, 1000), 2 * 8.0 + 1.0);
+  const DiskModel ssd = DiskModel::Ssd();
+  // Seeks dominate on HDD much more than on SSD.
+  EXPECT_GT(hdd.EstimateMs(10, 0) / ssd.EstimateMs(10, 0), 50.0);
+}
+
+TEST(DiskModelTest, FewerSeeksBeatManySeeks) {
+  // Same data volume, different clustering: the curve with fewer clusters
+  // wins under the disk model — the paper's core systems argument.
+  const DiskModel disk = DiskModel::Hdd();
+  const double few = disk.EstimateMs(2, 10000);
+  const double many = disk.EstimateMs(40, 10000);
+  EXPECT_LT(few, many);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// End-to-end tests of the persistent SfcTable: equivalence with the
-// in-memory SpatialIndex on random workloads, close -> reopen cycles,
-// compaction, unflushed-memtable reads, and manifest/I/O failure modes.
+// End-to-end tests of the persistent SfcTable: equivalence with a
+// brute-force filter for every registered curve in 2D and 3D, ranges per
+// box query == clustering number, close -> reopen cycles, compaction,
+// unflushed-memtable reads, and manifest/WAL/I/O failure modes.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,7 +17,8 @@
 
 #include <gtest/gtest.h>
 
-#include "index/spatial_index.h"
+#include "analysis/clustering.h"
+#include "brute_force.h"
 #include "sfc/registry.h"
 #include "storage/codec.h"
 #include "storage/sfc_table.h"
@@ -31,68 +33,105 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// Materializes a box query through the streaming cursor path — the
-/// replacement for the deprecated Query() wrapper. Works for SfcTable and
-/// SpatialIndex alike (same NewBoxCursor interface).
-template <typename Source>
-std::vector<SpatialEntry> CursorQuery(Source& source, const Box& box) {
-  auto cursor = source.NewBoxCursor(box);
+/// Materializes a box query through the streaming cursor path.
+std::vector<SpatialEntry> CursorQuery(SfcTable& table, const Box& box) {
+  auto cursor = table.NewBoxCursor(box);
   auto results = DrainCursor(cursor.get());
   EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
   return results;
 }
 
-/// Canonical form for comparing result sets: sorted (key, payload) pairs
-/// under the table's curve.
-std::vector<std::pair<Key, uint64_t>> Canonical(
-    const SpaceFillingCurve& curve, const std::vector<SpatialEntry>& entries) {
-  std::vector<std::pair<Key, uint64_t>> out;
-  out.reserve(entries.size());
-  for (const SpatialEntry& entry : entries) {
-    out.emplace_back(curve.IndexOf(entry.cell), entry.payload);
+/// Every registered curve over a 2D universe (side 64; peano needs a
+/// power of three, 81) and again over a 3D one (side 16; peano 9).
+std::vector<std::pair<std::string, Universe>> EveryCurveIn2DAnd3D() {
+  std::vector<std::pair<std::string, Universe>> inputs;
+  for (const std::string& name : KnownCurveNames()) {
+    inputs.emplace_back(name, Universe(2, name == "peano" ? 81 : 64));
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  for (const std::string& name : KnownCurveNames()) {
+    inputs.emplace_back(name, Universe(3, name == "peano" ? 9 : 16));
+  }
+  return inputs;
 }
 
-TEST(SfcTableTest, QueryEquivalentToSpatialIndexAcrossCurves) {
-  const Universe universe(2, 64);
-  const auto points = RandomPoints(universe, 4000, 31);
-  const auto cubes = RandomCubes(universe, 12, 25, 37);
-  const auto rects = RandomCornerBoxes(universe, 25, 41);
-  for (const std::string name : {"onion", "hilbert", "zorder"}) {
+TEST(SfcTableTest, QueryMatchesBruteForceEveryCurve) {
+  for (const auto& [name, universe] : EveryCurveIn2DAnd3D()) {
+    const std::string label =
+        name + "_" + std::to_string(universe.dims()) + "d";
+    const Coord cube = std::max<Coord>(universe.side() / 5, 3);
+    const auto points = RandomPoints(universe, 4000, 31);
+    const auto cubes = RandomCubes(universe, cube, 25, 37);
+    const auto rects = RandomCornerBoxes(universe, 25, 41);
     SfcTableOptions options;
     options.entries_per_page = 32;
     options.pool_pages = 16;
     options.memtable_flush_entries = 1000;  // forces several segments
     auto table_result =
-        SfcTable::Create(FreshDir("equiv_" + name), name, universe, options);
-    ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
+        SfcTable::Create(FreshDir("equiv_" + label), name, universe, options);
+    ASSERT_TRUE(table_result.ok())
+        << label << ": " << table_result.status().ToString();
     auto& table = *table_result.value();
-    SpatialIndex reference(MakeCurve(name, universe).value());
     for (size_t i = 0; i < points.size(); ++i) {
       ASSERT_TRUE(table.Insert(points[i], i).ok());
-      reference.Insert(points[i], i);
     }
     // First pass queries the mixed state: background-flushed segments plus
     // whatever is still in the memtable / pending flush queue.
     for (const auto& queries : {cubes, rects}) {
       for (const Box& query : queries) {
         ASSERT_EQ(Canonical(table.curve(), CursorQuery(table, query)),
-                  Canonical(reference.curve(), CursorQuery(reference, query)))
-            << name << " " << query.ToString();
+                  BruteForce(table.curve(), points, query))
+            << label << " " << query.ToString();
       }
     }
     ASSERT_TRUE(table.Flush().ok());
-    EXPECT_GT(table.num_segments(), 1u);  // auto-rotation kicked in
+    EXPECT_GT(table.num_segments(), 1u) << label;  // auto-rotation kicked in
     EXPECT_EQ(table.memtable_entries(), 0u);
     // Second pass queries fully flushed segments only.
     for (const auto& queries : {cubes, rects}) {
       for (const Box& query : queries) {
         ASSERT_EQ(Canonical(table.curve(), CursorQuery(table, query)),
-                  Canonical(reference.curve(), CursorQuery(reference, query)))
-            << name << " " << query.ToString();
+                  BruteForce(table.curve(), points, query))
+            << label << " " << query.ToString();
       }
+    }
+  }
+}
+
+TEST(SfcTableTest, RangesPerBoxQueryEqualClusteringNumber) {
+  // The paper's identity: a box query scans exactly as many key ranges as
+  // its clustering number under the table's curve — whether or not any
+  // data lies in the box (the first pass runs on an empty table).
+  for (const auto& [name, universe] : EveryCurveIn2DAnd3D()) {
+    const std::string label =
+        name + "_" + std::to_string(universe.dims()) + "d";
+    auto table_result = SfcTable::Create(FreshDir("clusters_" + label), name,
+                                         universe, SfcTableOptions{});
+    ASSERT_TRUE(table_result.ok())
+        << label << ": " << table_result.status().ToString();
+    auto& table = *table_result.value();
+    auto boxes = RandomCubes(universe, universe.side() / 3, 8, 43);
+    for (const Box& box : RandomCornerBoxes(universe, 8, 47)) {
+      boxes.push_back(box);
+    }
+    for (const bool populated : {false, true}) {
+      if (populated) {
+        const auto points = RandomPoints(universe, 500, 53);
+        for (size_t i = 0; i < points.size(); ++i) {
+          ASSERT_TRUE(table.Insert(points[i], i).ok());
+        }
+        ASSERT_TRUE(table.Flush().ok());
+      }
+      table.ResetStats();
+      uint64_t queries = 0;
+      for (const Box& box : boxes) {
+        const uint64_t before = table.read_stats().ranges;
+        CursorQuery(table, box);
+        ++queries;
+        EXPECT_EQ(table.read_stats().ranges - before,
+                  ClusteringNumber(table.curve(), box))
+            << label << " " << box.ToString();
+      }
+      EXPECT_EQ(table.read_stats().queries, queries) << label;
     }
   }
 }
@@ -308,12 +347,10 @@ TEST(SfcTableTest, CrashBeforeFlushRecoversFromWal) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->size(), points.size());
   EXPECT_EQ(reopened.value()->memtable_entries(), points.size());
-  SpatialIndex reference(MakeCurve("hilbert", universe).value());
-  for (size_t i = 0; i < points.size(); ++i) reference.Insert(points[i], i);
   const Box everything(Cell(0, 0), Cell(63, 63));
   EXPECT_EQ(Canonical(reopened.value()->curve(),
                       CursorQuery(*reopened.value(), everything)),
-            Canonical(reference.curve(), CursorQuery(reference, everything)));
+            BruteForce(reopened.value()->curve(), points, everything));
 }
 
 TEST(SfcTableTest, HardProcessExitRecoversFromWal) {
@@ -384,10 +421,8 @@ TEST(SfcTableTest, LeveledCompactionKeepsLevelsDisjoint) {
       SfcTable::Create(FreshDir("leveled"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
-  SpatialIndex reference(MakeCurve("hilbert", universe).value());
   for (size_t i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(table.Insert(points[i], i).ok());
-    reference.Insert(points[i], i);
   }
   ASSERT_TRUE(table.Flush().ok());
 
@@ -422,7 +457,7 @@ TEST(SfcTableTest, LeveledCompactionKeepsLevelsDisjoint) {
   // Leveling preserved the data.
   const Box everything(Cell(0, 0), Cell(63, 63));
   EXPECT_EQ(Canonical(table.curve(), CursorQuery(table, everything)),
-            Canonical(reference.curve(), CursorQuery(reference, everything)));
+            BruteForce(table.curve(), points, everything));
 }
 
 TEST(SfcTableTest, CloseQuiescesStopsWritesAndIsIdempotent) {
