@@ -249,8 +249,8 @@ int main(int argc, char** argv) {
       // made resident — the steady-state a server actually serves from.
       auto run_queries = [&](uint64_t* results) {
         for (const Box& query : workload.queries) {
-          // Stream through the cursor API: same I/O pattern as Query(),
-          // but nothing is materialized, which is how a server would read.
+          // Stream through the cursor API: nothing is materialized, which
+          // is how a server would read.
           const obs::ScopedTimer query_timer(&query_latency_us);
           auto cursor = table.NewBoxCursor(query);
           for (; cursor->Valid(); cursor->Next()) ++*results;

@@ -96,8 +96,7 @@ struct ReadOptions {
 
 /// Pull-based streaming iterator over query results, delivered in
 /// nondecreasing curve-key order (ties between equal keys are in
-/// unspecified order; sort by (key, payload) if you need the historical
-/// Query() ordering).
+/// unspecified order; sort by (key, payload) for a canonical order).
 class Cursor {
  public:
   virtual ~Cursor() = default;

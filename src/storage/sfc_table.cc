@@ -1483,31 +1483,6 @@ Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
   return payloads;
 }
 
-std::vector<SpatialEntry> SfcTable::Query(const Box& box) {
-  ONION_CHECK(curve_->universe().Contains(box));
-  const auto cursor = NewBoxCursor(box, ReadOptions{});
-  std::vector<SpatialEntry> results;
-  for (; cursor->Valid(); cursor->Next()) {
-    results.push_back(cursor->entry());
-    ONION_DCHECK(box.Contains(results.back().cell));
-  }
-  // The merge yields key order but leaves equal-key ties unspecified;
-  // restore the historical (key, payload) contract group by group. The
-  // curve is a bijection, so equal keys show up as equal cells — no need
-  // to recompute any key.
-  size_t group_begin = 0;
-  for (size_t i = 1; i <= results.size(); ++i) {
-    if (i == results.size() || !(results[i].cell == results[group_begin].cell)) {
-      std::sort(results.begin() + group_begin, results.begin() + i,
-                [](const SpatialEntry& a, const SpatialEntry& b) {
-                  return a.payload < b.payload;
-                });
-      group_begin = i;
-    }
-  }
-  return results;
-}
-
 TableReadStats SfcTable::read_stats() const {
   const MutexLock stats_lock(stats_mu_);
   return read_stats_;

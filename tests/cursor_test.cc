@@ -1,8 +1,7 @@
-// Streaming-cursor tests: box-cursor vs Query() equivalence on mixed
-// memtable + L0 + deeper-level state, box and scan cursors vs a
-// brute-force filter, limit / page-budget early exit with page accounting,
-// snapshot isolation, and cursor-outlives-compaction safety (also run
-// under the CI TSan job).
+// Streaming-cursor tests: box and scan cursors vs a brute-force filter
+// (also on mixed memtable + L0 + deeper-level state), limit / page-budget
+// early exit with page accounting, snapshot isolation, and
+// cursor-outlives-compaction safety (also run under the CI TSan job).
 
 #include <algorithm>
 #include <filesystem>
@@ -34,12 +33,7 @@ uint64_t PagesTouched(const SfcTable& table) {
   return io.page_reads + io.cache_hits;
 }
 
-// The ONE remaining exercise of the deprecated materializing Query()
-// wrapper: equivalence coverage against the cursor path until its
-// removal. Every other caller in the tree streams through cursors.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(CursorTest, BoxCursorMatchesQueryOnMixedState) {
+TEST(CursorTest, BoxCursorMatchesBruteForceOnMixedState) {
   // Small thresholds force several background flushes and at least one
   // leveling round while half the data is still unflushed: the cursor
   // must merge memtable + overlapping L0 runs + disjoint deeper levels.
@@ -76,12 +70,11 @@ TEST(CursorTest, BoxCursorMatchesQueryOnMixedState) {
       EXPECT_TRUE(cursor->status().ok());
       EXPECT_FALSE(cursor->hit_read_budget());
       EXPECT_EQ(Canonical(table.curve(), streamed),
-                Canonical(table.curve(), table.Query(box)))
+                BruteForce(table.curve(), points, box))
           << name << " " << box.ToString();
     }
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(CursorTest, BoxAndScanCursorsMatchBruteForce) {
   const Universe universe(2, 64);
