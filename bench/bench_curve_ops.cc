@@ -5,7 +5,7 @@
 //
 // Before the registered benchmarks run, a chrono-timed kernel pre-pass
 // measures the raw bit-interleave kernels of sfc/bits.h (scalar reference,
-// magic-number, byte-LUT, and — when the CPU has it — BMI2) and writes the
+// magic-number, and — when the CPU has it — BMI2) and writes the
 // ns-per-op numbers as BENCH_curve_ops.json. The pre-pass doubles as the
 // perf contract of the kernel dispatch: on a BMI2 machine the BMI2 encode
 // path must beat the portable scalar reference by at least 2x, or the
@@ -213,25 +213,6 @@ bool RunKernelPrepass(bench::BenchReport* report) {
         },
         kIters, kReps);
     report->Add("decode" + d + "_magic_ns", dec_magic);
-
-    const double enc_lut = BestNsPerOp(
-        [&](int i) {
-          key_sink = dims == 2 ? bits::InterleaveLut2(&coords[i * 2])
-                               : bits::InterleaveLut3(&coords[i * 3]);
-        },
-        kIters, kReps);
-    report->Add("encode" + d + "_lut_ns", enc_lut);
-    const double dec_lut = BestNsPerOp(
-        [&](int i) {
-          if (dims == 2) {
-            bits::DeinterleaveLut2(codes[i], out);
-          } else {
-            bits::DeinterleaveLut3(codes[i], out);
-          }
-          key_sink = out[0];
-        },
-        kIters, kReps);
-    report->Add("decode" + d + "_lut_ns", dec_lut);
 
 #if defined(ONION_BITS_HAVE_BMI2_KERNELS)
     if (bmi2) {

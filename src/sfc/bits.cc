@@ -1,7 +1,5 @@
 #include "sfc/bits.h"
 
-#include <cstddef>
-
 #if defined(ONION_BITS_HAVE_BMI2_KERNELS)
 #include <immintrin.h>
 #endif
@@ -55,41 +53,6 @@ inline uint64_t Compact3(uint64_t x) {
   x = (x | (x >> 32)) & 0x00000000001fffffull;
   return x;
 }
-
-// ---- byte lookup tables ------------------------------------------------
-//
-// kSpread2[b] is the 16-bit 2D spread of byte b (bit q at position 2q);
-// kSpread3[b] the 24-bit 3D spread. The compact tables invert them over
-// one byte of interleaved code: kCompact2[b] gathers the 4 even bits of b,
-// and for 3D, kCompact3[b] gathers bits {0,3,6} of b — a byte covers two
-// full 3-bit groups plus a spill bit, so the decode walks bytes with a
-// per-byte phase shift instead.
-
-struct SpreadTables {
-  uint16_t spread2[256];
-  uint32_t spread3[256];
-  uint8_t compact2[256];
-
-  constexpr SpreadTables() : spread2(), spread3(), compact2() {
-    for (int b = 0; b < 256; ++b) {
-      uint16_t s2 = 0;
-      uint32_t s3 = 0;
-      uint8_t c2 = 0;
-      for (int q = 0; q < 8; ++q) {
-        if ((b >> q) & 1) {
-          s2 = static_cast<uint16_t>(s2 | (1u << (2 * q)));
-          s3 |= 1u << (3 * q);
-        }
-        if (q < 4 && ((b >> (2 * q)) & 1)) c2 = static_cast<uint8_t>(c2 | (1u << q));
-      }
-      spread2[b] = s2;
-      spread3[b] = s3;
-      compact2[b] = c2;
-    }
-  }
-};
-
-constexpr SpreadTables kTables{};
 
 #if defined(ONION_BITS_HAVE_BMI2_KERNELS)
 // kStrideMask[d] has every d-th bit set starting at bit 0 — the pdep/pext
@@ -158,63 +121,6 @@ void DeinterleaveMagic3(Key code, Coord* coords) {
   coords[0] = static_cast<Coord>(Compact3(code));
   coords[1] = static_cast<Coord>(Compact3(code >> 1));
   coords[2] = static_cast<Coord>(Compact3(code >> 2));
-}
-
-Key InterleaveLut2(const Coord* coords) {
-  Key code = 0;
-  for (int byte = 3; byte >= 0; --byte) {
-    const uint64_t x = kTables.spread2[(coords[0] >> (8 * byte)) & 0xff];
-    const uint64_t y = kTables.spread2[(coords[1] >> (8 * byte)) & 0xff];
-    code = (code << 16) | x | (y << 1);
-  }
-  return code;
-}
-
-void DeinterleaveLut2(Key code, Coord* coords) {
-  Coord x = 0;
-  Coord y = 0;
-  // Each input byte holds 4 bits of each axis; byte k contributes bits
-  // [4k, 4k+4) of both coordinates.
-  for (int byte = 0; byte < 8; ++byte) {
-    const uint8_t chunk = static_cast<uint8_t>(code >> (8 * byte));
-    x |= static_cast<Coord>(kTables.compact2[chunk]) << (4 * byte);
-    y |= static_cast<Coord>(kTables.compact2[chunk >> 1]) << (4 * byte);
-  }
-  coords[0] = x;
-  coords[1] = y;
-}
-
-Key InterleaveLut3(const Coord* coords) {
-  // 21 usable bits per axis: three table bytes cover bits [0,8), [8,16),
-  // [16,21) — each byte spreads to 24 interleaved bits.
-  Key code = 0;
-  for (int byte = 2; byte >= 0; --byte) {
-    const uint64_t x = kTables.spread3[(coords[0] >> (8 * byte)) & 0xff];
-    const uint64_t y = kTables.spread3[(coords[1] >> (8 * byte)) & 0xff];
-    const uint64_t z = kTables.spread3[(coords[2] >> (8 * byte)) & 0xff];
-    code = (code << 24) | x | (y << 1) | (z << 2);
-  }
-  return code;
-}
-
-void DeinterleaveLut3(Key code, Coord* coords) {
-  // The 3-bit group stride is not byte-aligned, so the table inverse works
-  // in 24-bit chunks (8 groups each) using the 2D compact table twice:
-  // gather even bits of the axis-projected chunk, then compact again.
-  Coord out[3] = {0, 0, 0};
-  for (int chunk = 0; chunk < 3; ++chunk) {
-    const uint64_t block = (code >> (24 * chunk)) & 0xffffffull;
-    for (int axis = 0; axis < 3; ++axis) {
-      // Project the axis's bits (positions 3q+axis within the block) down
-      // with two rounds of even-bit compaction: 3q+axis -> drop axis shift
-      // -> positions 3q -> Compact over stride 3 via the scalar-free magic
-      // compact (cheap: the block is only 24 bits).
-      out[axis] |= static_cast<Coord>(Compact3(block >> axis)) << (8 * chunk);
-    }
-  }
-  coords[0] = out[0];
-  coords[1] = out[1];
-  coords[2] = out[2];
 }
 
 #if defined(ONION_BITS_HAVE_BMI2_KERNELS)

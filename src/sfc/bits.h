@@ -13,11 +13,6 @@
 //   DeinterleaveMagic2/3  spreading for the common 2D / 3D cases —
 //                         O(log bits) masked shifts instead of O(bits)
 //                         single-bit steps.
-//   InterleaveLut2 / 3    byte-at-a-time lookup tables (256-entry spread /
-//   DeinterleaveLut2 / 3  compact tables) for 2D / 3D: the classic
-//                         table-driven Morton path, kept as a measured
-//                         alternative and as a third independent
-//                         implementation for equivalence tests.
 //   InterleaveBmi2 /      x86-64 BMI2 pdep/pext — one instruction per axis.
 //   DeinterleaveBmi2      Compiled with a function-level target attribute,
 //                         so the binary still runs on pre-BMI2 machines;
@@ -61,12 +56,6 @@ void DeinterleaveMagic2(Key code, Coord* coords);
 /// 64-bit key can hold at dims == 3).
 Key InterleaveMagic3(const Coord* coords);
 void DeinterleaveMagic3(Key code, Coord* coords);
-
-/// Byte-table 2D / 3D paths (same bit budgets as the magic kernels).
-Key InterleaveLut2(const Coord* coords);
-void DeinterleaveLut2(Key code, Coord* coords);
-Key InterleaveLut3(const Coord* coords);
-void DeinterleaveLut3(Key code, Coord* coords);
 
 #if defined(ONION_BITS_HAVE_BMI2_KERNELS)
 /// BMI2 kernels: one pdep (pext) per axis against a precomputed stride
