@@ -515,9 +515,13 @@ Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
           table->memtable_.Insert(key, payload, PackSeq(sequence, tombstone));
         });
     if (!replayed.ok()) {
-      // A torn header can only happen to the newest WAL (crash during its
-      // creation); anywhere else it means real corruption.
-      if (i + 1 == wal_files.size()) {
+      // A torn header (short, or no magic yet) can only happen to the
+      // newest WAL, through a crash during its creation, and it holds no
+      // records. Anything else — a torn header elsewhere, a whole header
+      // stamped with another version, a read error — would lose
+      // acknowledged writes if skipped.
+      if (i + 1 == wal_files.size() &&
+          replayed.status().code() == StatusCode::kCorruption) {
         table->wal_files_.push_back(name);  // fenced off at next flush
         continue;
       }

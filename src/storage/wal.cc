@@ -138,7 +138,7 @@ Result<uint64_t> ReplayWal(
   const uint8_t* const end = p + bytes.value().size();
   if (end - p < static_cast<ptrdiff_t>(kWalHeaderBytes) ||
       std::memcmp(p, kWalMagic, sizeof(kWalMagic)) != 0) {
-    return Status::InvalidArgument("bad WAL header: " + path);
+    return Status::Corruption("short WAL header or bad WAL magic: " + path);
   }
   const uint32_t version = GetU32(p + 8);
   if (version != kWalVersion) {

@@ -177,7 +177,9 @@ class WalWriter {
 /// Replays the complete records of the WAL at `path` into `fn` — invoked
 /// once per op as fn(key, payload, sequence, tombstone), in append order —
 /// stopping silently at a torn tail. Returns the number of OPS replayed,
-/// or an error if the file is missing or its header is invalid.
+/// or an error: the file's read error, Corruption for a header that is
+/// short or lacks the magic (what a crash during creation leaves), or
+/// InvalidArgument for a whole header stamped with another version.
 Result<uint64_t> ReplayWal(
     const std::string& path,
     const std::function<void(Key, uint64_t, uint64_t, bool)>& fn);

@@ -406,6 +406,76 @@ TEST(SfcTableTest, RecoveredEntriesAreNotDuplicatedAfterFlush) {
   EXPECT_EQ(table.value()->memtable_entries(), 0u);
 }
 
+/// Path of the highest-numbered wal_<id>.log in `dir` ("" if none).
+std::string NewestWalPath(const std::string& dir) {
+  uint64_t newest_id = 0;
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal_", 0) != 0) continue;
+    const uint64_t id = std::strtoull(name.c_str() + 4, nullptr, 10);
+    if (newest.empty() || id > newest_id) {
+      newest_id = id;
+      newest = entry.path().string();
+    }
+  }
+  return newest;
+}
+
+void StampWalVersion(const std::string& path, uint32_t version) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  uint8_t version_bytes[4];
+  PutU32(version_bytes, version);
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(version_bytes, 1, 4, f), 4u);
+  std::fclose(f);
+}
+
+TEST(SfcTableTest, NewestWalOfAnotherVersionFailsOpenButTornHeaderIsSkipped) {
+  // Only a header that is short or lacks the magic is a crash during WAL
+  // creation. A whole header of another version holds acknowledged
+  // records: skipping it would lose them (and the next flush would fence
+  // them away for good), so Open must fail instead.
+  const Universe universe(2, 32);
+  const std::string dir = FreshDir("wal_newest_version");
+  {
+    auto table = SfcTable::Create(dir, "onion", universe);
+    ASSERT_TRUE(table.ok());
+    for (uint64_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(table.value()->Insert(Cell(i % 32, i / 32), i).ok());
+    }
+  }  // crash: no Close(), no Flush()
+  const std::string logged = NewestWalPath(dir);
+  ASSERT_FALSE(logged.empty());
+  StampWalVersion(logged, 99);
+  {
+    auto opened = SfcTable::Open(dir);
+    ASSERT_FALSE(opened.ok()) << "a version-99 WAL must not be skipped";
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("unsupported WAL version 99"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  // Restored, the records are all there. Opening creates a newer, empty
+  // WAL; crash again so it stays behind as the newest file.
+  StampWalVersion(logged, 2);
+  {
+    auto table = SfcTable::Open(dir);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(table.value()->size(), 40u);
+  }
+  const std::string fresh = NewestWalPath(dir);
+  ASSERT_NE(fresh, logged);
+  // Tear the newest WAL inside its 16-byte header: a crash during its
+  // creation. Open skips it and still recovers every record.
+  std::filesystem::resize_file(fresh, 5);
+  auto table = SfcTable::Open(dir);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table.value()->size(), 40u);
+  EXPECT_EQ(table.value()->memtable_entries(), 40u);
+}
+
 TEST(SfcTableTest, LeveledCompactionKeepsLevelsDisjoint) {
   // Small thresholds force many flushes and several rounds of background
   // leveling; afterwards every level >= 1 must hold pairwise-disjoint,
