@@ -1,10 +1,10 @@
 // Quickstart: the 60-second tour of the onion-curve library.
 //
-//   build/examples/quickstart [--dir=<tmp>/onion_quickstart]
+//   build/examples/quickstart
 //
 // Creates curves, maps cells to keys and back, computes clustering numbers
 // of a rectangular query under several curves, and runs one box query end
-// to end against a one-table SfcDb.
+// to end against a one-table SfcDb in <temp dir>/onion_quickstart.
 
 #include <cstdio>
 #include <filesystem>
@@ -12,17 +12,14 @@
 #include <vector>
 
 #include "analysis/clustering.h"
-#include "common/cli.h"
 #include "sfc/registry.h"
 #include "storage/sfc_db.h"
 #include "workloads/generators.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace onion;
-  const CommandLine cli(argc, argv);
-  const std::string dir = cli.GetString(
-      "dir",
-      (std::filesystem::temp_directory_path() / "onion_quickstart").string());
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "onion_quickstart").string();
 
   // 1. A 2D universe and the onion curve over it.
   const Universe universe(2, 256);

@@ -8,9 +8,10 @@
 // query scans, and on a cold pool over one compacted run each range costs
 // at most one seek.
 //
+// The database lives in <temp dir>/onion_spatial_index_demo.
+//
 //   build/examples/spatial_index_demo [--side=1024] [--points=200000]
 //                                     [--queries=200] [--query_side=64]
-//                                     [--dir=<tmp>/onion_spatial_index_demo]
 
 #include <cstdio>
 #include <filesystem>
@@ -30,10 +31,9 @@ int main(int argc, char** argv) {
   const auto num_queries = static_cast<size_t>(cli.GetInt("queries", 200));
   const auto query_side =
       static_cast<Coord>(cli.GetInt("query_side", side / 16));
-  const std::string dir = cli.GetString(
-      "dir", (std::filesystem::temp_directory_path() /
-              "onion_spatial_index_demo")
-                 .string());
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "onion_spatial_index_demo")
+          .string();
 
   const Universe universe(2, side);
   // Skewed data: points concentrated around 32 "cities".
@@ -101,9 +101,9 @@ int main(int argc, char** argv) {
     ONION_CHECK(db.value()->DropTable(name).ok());
   }
   std::printf(
-      "\n(ranges/q == average clustering number of the query box; the curve\n"
-      " with the smallest clustering number wins under seek-dominated "
-      "cost.)\n");
+      "\n(ranges/q == average clustering number of the query box; seeks/q\n"
+      " counts runs of adjacent pages read, so ranges whose data shares a\n"
+      " page cost one seek together.)\n");
   ONION_CHECK(db.value()->Close().ok());
   return 0;
 }
