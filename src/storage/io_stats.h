@@ -1,7 +1,7 @@
 // Physical I/O counters shared by every page-serving component (the
-// multi-segment buffer pool and the SfcTable facade). Kept in the top-level onion namespace because the
-// counters predate the storage subsystem and are part of its public
-// benchmark vocabulary.
+// multi-segment buffer pool and the SfcTable facade). Kept in the
+// top-level onion namespace because the counters predate the storage
+// subsystem and are part of its public benchmark vocabulary.
 
 #ifndef ONION_STORAGE_IO_STATS_H_
 #define ONION_STORAGE_IO_STATS_H_

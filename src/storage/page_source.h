@@ -3,9 +3,9 @@
 // A PageSource is an immutable sorted run of (key, payload) entries packed
 // into fixed-size pages, with an in-memory fence index (first and last key
 // of every page). Concrete sources are MemPageSource (a std::vector) and
-// SegmentReader (a real file). The buffer pool and all range-scan logic are generic over
-// this interface, so "how many seeks does this query cost" is answered the
-// same way whether pages live in RAM or on disk.
+// SegmentReader (a real file). The buffer pool and all range-scan logic
+// are generic over this interface, so "how many seeks does this query
+// cost" is answered the same way whether pages live in RAM or on disk.
 //
 // The fence index is the only metadata a caller may consult without doing
 // page I/O: PageOf() and range-termination tests are pure fence lookups,
