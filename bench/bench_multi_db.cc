@@ -313,8 +313,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(index_dangling));
 
   // Machine-readable perf trajectory — written BEFORE Close() because the
-  // table handles (cursor.next_us histograms) and the shared pool die with
-  // the db. CI uploads BENCH_multi_db.json and grep-gates its keys.
+  // shared pool dies with the db. CI uploads BENCH_multi_db.json and
+  // grep-gates its keys.
   bench::BenchReport report("multi_db");
   report.AddCount("tables", static_cast<uint64_t>(num_tables));
   report.AddCount("side", side);
@@ -328,11 +328,6 @@ int main(int argc, char** argv) {
                                 ? boxes.size() * num_tables / query_secs
                                 : 0.0);
   report.AddLatency("", query_latency_us.Snapshot());
-  obs::HistogramSnapshot next_us;
-  for (storage::SfcTable* table : tables) {
-    next_us += table->metrics().histogram("cursor.next_us")->Snapshot();
-  }
-  report.AddLatency("cursor_next", next_us);
   const IoStats final_pool = db.pool_stats();  // cumulative, never reset
   const uint64_t pool_touched = final_pool.page_reads + final_pool.cache_hits;
   report.Add("pool_hit_ratio",

@@ -444,15 +444,6 @@ int main(int argc, char** argv) {
                  : static_cast<double>(latency.count) * 1e6 /
                        static_cast<double>(latency.sum));
   report.AddLatency("", latency);
-  // The engine's own per-Next() histogram, merged over every table — the
-  // finer-grained series the JSON trajectory tracks alongside the
-  // per-query numbers above.
-  obs::HistogramSnapshot next_us;
-  for (const BenchTable& bench_table : tables) {
-    next_us +=
-        bench_table.table->metrics().histogram("cursor.next_us")->Snapshot();
-  }
-  report.AddLatency("cursor_next", next_us);
   // Headline hit ratio is the WARM phase (steady state); the cold phase —
   // what the fixed 64-page pool used to measure exclusively — is reported
   // alongside.

@@ -54,7 +54,7 @@ for symbol in MetricsRegistry Counter Gauge Histogram HistogramSnapshot \
               pool_hit_ratio_cold readahead_batched_reads readahead_hits \
               readahead_wasted bmi2_supported encode2_scalar_ns \
               sse42_supported crc32c_ns_per_kib \
-              wal.fsync_us flush.us compaction.us cursor.next_us \
+              wal.fsync_us flush.us compaction.us net.request_us \
               db.batch_commit_us index.queries index.dangling_entries \
               index.rows_resolved; do
   if ! grep -q "$symbol" docs/observability.md; then

@@ -73,25 +73,82 @@ void AppendBox(std::vector<uint8_t>* out, const Box& box) {
   AppendCell(out, box.hi);
 }
 
+size_t BeginFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                  uint8_t type) {
+  const size_t start = out->size();
+  AppendU32(out, 0);  // length and CRC placeholders, patched by FinishFrame
+  AppendU32(out, 0);
+  AppendU64(out, request_id);
+  AppendU8(out, type);
+  return start;
+}
+
+void FinishFrame(std::vector<uint8_t>* out, size_t start) {
+  const size_t body = out->size() - start - kFrameHeaderBytes;
+  ONION_CHECK_MSG(body <= UINT32_MAX, "frame body over 4 GiB");
+  uint8_t* frame = out->data() + start;
+  storage::PutU32(frame, static_cast<uint32_t>(body));
+  storage::PutU32(frame + 4, Crc32c(frame + kFrameHeaderBytes, body));
+}
+
 std::vector<uint8_t> EncodeFrame(uint64_t request_id, uint8_t type,
                                  const std::vector<uint8_t>& payload) {
-  const size_t body = kMinFrameBody + payload.size();
-  ONION_CHECK_MSG(body <= UINT32_MAX, "frame body over 4 GiB");
   std::vector<uint8_t> out;
-  out.reserve(kFrameHeaderBytes + body);
-  AppendU32(&out, static_cast<uint32_t>(body));
-  AppendU32(&out, 0);  // CRC placeholder, patched below
-  AppendU64(&out, request_id);
-  AppendU8(&out, type);
+  out.reserve(kFrameHeaderBytes + kMinFrameBody + payload.size());
+  BeginFrame(&out, request_id, type);
   out.insert(out.end(), payload.begin(), payload.end());
-  const uint32_t crc = Crc32c(out.data() + kFrameHeaderBytes, body);
-  storage::PutU32(out.data() + 4, crc);
+  FinishFrame(&out, 0);
   return out;
 }
 
 void AppendStatusHeader(std::vector<uint8_t>* out, const Status& status) {
   AppendU8(out, static_cast<uint8_t>(status.code()));
   AppendString(out, status.message());
+}
+
+namespace {
+
+/// Wire bytes of one kCursorNext entry: u8 dims + dims * u32 + u64 + u64.
+size_t EntryBytes(int dims) { return 1 + 4 * static_cast<size_t>(dims) + 16; }
+
+}  // namespace
+
+void AppendCursorChunk(std::vector<uint8_t>* out, Cursor* cursor,
+                       uint32_t max_entries) {
+  const size_t payload_start = out->size();
+  AppendStatusHeader(out, Status::OK());
+  const size_t flags_at = out->size();
+  AppendU8(out, 0);   // flags and count, patched once the chunk is full
+  AppendU32(out, 0);
+  if (cursor->Valid()) {
+    out->reserve(out->size() +
+                 max_entries * EntryBytes(cursor->entry().cell.dims));
+  }
+  uint32_t count = 0;
+  for (; cursor->Valid() && count < max_entries; cursor->Next(), ++count) {
+    const SpatialEntry& entry = cursor->entry();
+    const int dims = entry.cell.dims;
+    ONION_CHECK_MSG(dims >= 1 && dims <= kMaxDims, "cell dims out of range");
+    const size_t at = out->size();
+    out->resize(at + EntryBytes(dims));
+    uint8_t* p = out->data() + at;
+    *p++ = static_cast<uint8_t>(dims);
+    for (int d = 0; d < dims; ++d, p += 4) storage::PutU32(p, entry.cell[d]);
+    storage::PutU64(p, entry.payload);
+    storage::PutU64(p + 8, entry.seq);
+  }
+  if (!cursor->Valid() && !cursor->status().ok()) {
+    out->resize(payload_start);
+    AppendStatusHeader(out, cursor->status());
+    return;
+  }
+  uint8_t flags = 0;
+  if (!cursor->Valid()) {
+    flags |= kCursorDone;
+    if (cursor->hit_read_budget()) flags |= kCursorHitReadBudget;
+  }
+  (*out)[flags_at] = flags;
+  storage::PutU32(out->data() + flags_at + 1, count);
 }
 
 bool PayloadReader::ReadU8(uint8_t* v) {

@@ -105,6 +105,15 @@ void AppendCell(std::vector<uint8_t>* out, const Cell& cell);
 /// Two cells (lo, hi); dims must match.
 void AppendBox(std::vector<uint8_t>* out, const Box& box);
 
+/// Frames are built in place: BeginFrame appends the header placeholder,
+/// request_id and type to `out` and returns where the frame starts; the
+/// caller appends the payload after it; FinishFrame then writes the length
+/// and the CRC32C of the frame that runs from `start` to the end of `out`
+/// over the bytes where they lie. No payload is ever copied.
+size_t BeginFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                  uint8_t type);
+void FinishFrame(std::vector<uint8_t>* out, size_t start);
+
 /// Wraps (request_id, type, payload) into one complete frame — header,
 /// CRC, body — ready to write to the stream.
 std::vector<uint8_t> EncodeFrame(uint64_t request_id, uint8_t type,
@@ -112,6 +121,16 @@ std::vector<uint8_t> EncodeFrame(uint64_t request_id, uint8_t type,
 
 /// The status header every response payload starts with.
 void AppendStatusHeader(std::vector<uint8_t>* out, const Status& status);
+
+/// Appends the kCursorNext response payload for up to `max_entries`
+/// entries pulled from `cursor`: the OK status header,
+/// flags (kCursorDone once the cursor is no longer valid, plus
+/// kCursorHitReadBudget when a bound stopped it), the u32 count and the
+/// entries as cell + u64 payload + u64 seq. A cursor that fails while
+/// filling the chunk leaves only its status header instead; the caller
+/// tells the cases apart by the cursor's Valid() and status() afterwards.
+void AppendCursorChunk(std::vector<uint8_t>* out, Cursor* cursor,
+                       uint32_t max_entries);
 
 // --- bounds-checked payload reading --------------------------------------
 

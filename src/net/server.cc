@@ -294,55 +294,51 @@ void SfcServer::HandleFrame(Session* session, const Frame& frame) {
   const obs::ScopedTimer timer(request_us_);
   requests_->Increment();
   session->last_activity_us = timer.start_us();
-  std::vector<uint8_t> payload;
+  // The response is built in place: every executor appends its payload
+  // after the frame header, and QueueResponse patches length and CRC.
+  std::vector<uint8_t>* out = &response_;
+  out->clear();
+  BeginFrame(out, frame.request_id, frame.type | kResponseBit);
   switch (static_cast<MessageType>(frame.type)) {
-    case MessageType::kPut: payload = ExecPut(frame); break;
-    case MessageType::kDelete: payload = ExecDelete(frame); break;
-    case MessageType::kWrite: payload = ExecWrite(frame); break;
-    case MessageType::kGet: payload = ExecGet(session, frame); break;
+    case MessageType::kPut: ExecPut(frame, out); break;
+    case MessageType::kDelete: ExecDelete(frame, out); break;
+    case MessageType::kWrite: ExecWrite(frame, out); break;
+    case MessageType::kGet: ExecGet(session, frame, out); break;
     case MessageType::kOpenBoxCursor:
-      payload = ExecOpenBoxCursor(session, frame);
+      ExecOpenBoxCursor(session, frame, out);
       break;
-    case MessageType::kCursorNext:
-      payload = ExecCursorNext(session, frame);
-      break;
+    case MessageType::kCursorNext: ExecCursorNext(session, frame, out); break;
     case MessageType::kCursorClose:
-      payload = ExecCursorClose(session, frame);
+      ExecCursorClose(session, frame, out);
       break;
     case MessageType::kOpenIndexCursor:
-      payload = ExecOpenIndexCursor(session, frame);
+      ExecOpenIndexCursor(session, frame, out);
       break;
-    case MessageType::kSnapshotAcquire:
-      payload = ExecSnapshotAcquire(session);
-      break;
+    case MessageType::kSnapshotAcquire: ExecSnapshotAcquire(session, out); break;
     case MessageType::kSnapshotRelease:
-      payload = ExecSnapshotRelease(session, frame);
+      ExecSnapshotRelease(session, frame, out);
       break;
-    case MessageType::kDumpMetrics: payload = ExecDumpMetrics(); break;
-    case MessageType::kPing: AppendStatusHeader(&payload, Status::OK()); break;
+    case MessageType::kDumpMetrics: ExecDumpMetrics(out); break;
+    case MessageType::kPing: AppendStatusHeader(out, Status::OK()); break;
     default:
       requests_bad_->Increment();
-      AppendStatusHeader(&payload,
-                         Status::InvalidArgument(
-                             "unknown request type " +
-                             std::to_string(frame.type)));
+      AppendStatusHeader(out, Status::InvalidArgument(
+                                  "unknown request type " +
+                                  std::to_string(frame.type)));
       break;
   }
-  QueueResponse(session, frame.request_id, frame.type, payload);
+  QueueResponse(session, out);
 }
 
-void SfcServer::QueueResponse(Session* session, uint64_t request_id,
-                              uint8_t request_type,
-                              const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> wire =
-      EncodeFrame(request_id, request_type | kResponseBit, payload);
+void SfcServer::QueueResponse(Session* session, std::vector<uint8_t>* wire) {
+  FinishFrame(wire, 0);
   // Opportunistic send: with an empty queue, most responses go straight
   // to the socket without ever arming EPOLLOUT.
   size_t sent = 0;
   if (session->write_queue.empty()) {
-    while (sent < wire.size()) {
-      const ssize_t n = ::send(session->fd, wire.data() + sent,
-                               wire.size() - sent, MSG_NOSIGNAL);
+    while (sent < wire->size()) {
+      const ssize_t n = ::send(session->fd, wire->data() + sent,
+                               wire->size() - sent, MSG_NOSIGNAL);
       if (n > 0) {
         sent += static_cast<size_t>(n);
         continue;
@@ -353,10 +349,12 @@ void SfcServer::QueueResponse(Session* session, uint64_t request_id,
     bytes_written_->Add(sent);
     if (sent > 0) session->last_activity_us = obs::NowMicros();
   }
-  if (sent < wire.size()) {
-    session->queued_bytes += wire.size() - sent;
-    session->write_queue.push_back(std::move(wire));
-    if (session->write_queue.size() == 1) session->head_sent = sent;
+  if (sent < wire->size()) {
+    session->queued_bytes += wire->size() - sent;
+    if (session->write_queue.empty()) session->head_sent = sent;
+    // The queue takes the buffer; the next response grows a new one.
+    session->write_queue.push_back(std::move(*wire));
+    wire->clear();
   }
 }
 
@@ -492,18 +490,11 @@ Status SfcServer::ResolveSnapshot(
 
 namespace {
 
-/// A response carrying only the status header.
-std::vector<uint8_t> StatusOnly(const Status& status) {
-  std::vector<uint8_t> out;
-  AppendStatusHeader(&out, status);
-  return out;
-}
-
 const Status kMalformed = Status::InvalidArgument("malformed request payload");
 
 }  // namespace
 
-std::vector<uint8_t> SfcServer::ExecPut(const Frame& frame) {
+void SfcServer::ExecPut(const Frame& frame, std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   std::string table;
   Cell cell;
@@ -511,33 +502,33 @@ std::vector<uint8_t> SfcServer::ExecPut(const Frame& frame) {
   if (!reader.ReadString(&table) || !reader.ReadCell(&cell) ||
       !reader.ReadU64(&payload) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   storage::WriteBatch batch;
   batch.Put(std::move(table), cell, payload);
-  return StatusOnly(db_->Write(std::move(batch)));
+  return AppendStatusHeader(out, db_->Write(std::move(batch)));
 }
 
-std::vector<uint8_t> SfcServer::ExecDelete(const Frame& frame) {
+void SfcServer::ExecDelete(const Frame& frame, std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   std::string table;
   Cell cell;
   if (!reader.ReadString(&table) || !reader.ReadCell(&cell) ||
       !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   storage::WriteBatch batch;
   batch.Delete(std::move(table), cell);
-  return StatusOnly(db_->Write(std::move(batch)));
+  return AppendStatusHeader(out, db_->Write(std::move(batch)));
 }
 
-std::vector<uint8_t> SfcServer::ExecWrite(const Frame& frame) {
+void SfcServer::ExecWrite(const Frame& frame, std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   uint32_t count = 0;
   if (!reader.ReadU32(&count)) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   storage::WriteBatch batch;
   for (uint32_t i = 0; i < count; ++i) {
@@ -548,7 +539,7 @@ std::vector<uint8_t> SfcServer::ExecWrite(const Frame& frame) {
     if (!reader.ReadU8(&tombstone) || !reader.ReadString(&table) ||
         !reader.ReadCell(&cell) || !reader.ReadU64(&payload)) {
       requests_bad_->Increment();
-      return StatusOnly(kMalformed);
+      return AppendStatusHeader(out, kMalformed);
     }
     if (tombstone != 0) {
       batch.Delete(std::move(table), cell);
@@ -558,12 +549,13 @@ std::vector<uint8_t> SfcServer::ExecWrite(const Frame& frame) {
   }
   if (!reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
-  return StatusOnly(db_->Write(std::move(batch)));
+  return AppendStatusHeader(out, db_->Write(std::move(batch)));
 }
 
-std::vector<uint8_t> SfcServer::ExecGet(Session* session, const Frame& frame) {
+void SfcServer::ExecGet(Session* session, const Frame& frame,
+                        std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   std::string table_name;
   Cell cell;
@@ -571,27 +563,26 @@ std::vector<uint8_t> SfcServer::ExecGet(Session* session, const Frame& frame) {
   if (!reader.ReadString(&table_name) || !reader.ReadCell(&cell) ||
       !reader.ReadU64(&snapshot_id) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   Status status;
   storage::SfcTable* table = ResolveTable(table_name, &status);
-  if (table == nullptr) return StatusOnly(status);
+  if (table == nullptr) return AppendStatusHeader(out, status);
   std::shared_ptr<const storage::DbSnapshot> pin;
   status = ResolveSnapshot(session, snapshot_id, &pin);
-  if (!status.ok()) return StatusOnly(status);
+  if (!status.ok()) return AppendStatusHeader(out, status);
   ReadOptions options;
   if (pin != nullptr) options.snapshot = pin->ForTable(table);
   Result<std::vector<uint64_t>> result = table->Get(cell, options);
-  if (!result.ok()) return StatusOnly(result.status());
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
+  if (!result.ok()) return AppendStatusHeader(out, result.status());
+  AppendStatusHeader(out, Status::OK());
   const std::vector<uint64_t>& payloads = result.value();
-  AppendU32(&out, static_cast<uint32_t>(payloads.size()));
-  for (const uint64_t p : payloads) AppendU64(&out, p);
-  return out;
+  AppendU32(out, static_cast<uint32_t>(payloads.size()));
+  for (const uint64_t p : payloads) AppendU64(out, p);
 }
 
-std::vector<uint8_t> SfcServer::ExecOpenBoxCursor(Session* session,
-                                                  const Frame& frame) {
+void SfcServer::ExecOpenBoxCursor(Session* session, const Frame& frame,
+                                  std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   std::string table_name;
   Box box;
@@ -602,29 +593,28 @@ std::vector<uint8_t> SfcServer::ExecOpenBoxCursor(Session* session,
       !reader.ReadU64(&options.max_pages) ||
       !reader.ReadU64(&options.max_bytes) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   Status status;
   storage::SfcTable* table = ResolveTable(table_name, &status);
-  if (table == nullptr) return StatusOnly(status);
+  if (table == nullptr) return AppendStatusHeader(out, status);
   std::shared_ptr<const storage::DbSnapshot> pin;
   status = ResolveSnapshot(session, snapshot_id, &pin);
-  if (!status.ok()) return StatusOnly(status);
+  if (!status.ok()) return AppendStatusHeader(out, status);
   if (pin != nullptr) options.snapshot = pin->ForTable(table);
   std::unique_ptr<Cursor> cursor = table->NewBoxCursor(box, options);
   if (!cursor->Valid() && !cursor->status().ok()) {
-    return StatusOnly(cursor->status());
+    return AppendStatusHeader(out, cursor->status());
   }
   const uint64_t id = ++next_cursor_id_;
   session->cursors.emplace(id, CursorState{std::move(cursor), std::move(pin)});
   cursors_open_->Add(1);
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU64(&out, id);
-  return out;
+  AppendStatusHeader(out, Status::OK());
+  AppendU64(out, id);
 }
 
-std::vector<uint8_t> SfcServer::ExecOpenIndexCursor(Session* session,
-                                                    const Frame& frame) {
+void SfcServer::ExecOpenIndexCursor(Session* session, const Frame& frame,
+                                    std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   std::string table_name;
   std::string index_name;
@@ -636,120 +626,97 @@ std::vector<uint8_t> SfcServer::ExecOpenIndexCursor(Session* session,
       !reader.ReadU64(&options.limit) || !reader.ReadU64(&options.max_pages) ||
       !reader.ReadU64(&options.max_bytes) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   std::shared_ptr<const storage::DbSnapshot> pin;
   const Status status = ResolveSnapshot(session, snapshot_id, &pin);
-  if (!status.ok()) return StatusOnly(status);
+  if (!status.ok()) return AppendStatusHeader(out, status);
   options.snapshot = pin;
   std::unique_ptr<Cursor> cursor =
       db_->NewIndexCursor(table_name, index_name, box, options);
   if (!cursor->Valid() && !cursor->status().ok()) {
-    return StatusOnly(cursor->status());
+    return AppendStatusHeader(out, cursor->status());
   }
   const uint64_t id = ++next_cursor_id_;
   session->cursors.emplace(id, CursorState{std::move(cursor), std::move(pin)});
   cursors_open_->Add(1);
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU64(&out, id);
-  return out;
+  AppendStatusHeader(out, Status::OK());
+  AppendU64(out, id);
 }
 
-std::vector<uint8_t> SfcServer::ExecCursorNext(Session* session,
-                                               const Frame& frame) {
+void SfcServer::ExecCursorNext(Session* session, const Frame& frame,
+                               std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   uint64_t cursor_id = 0;
   uint32_t max_entries = 0;
   if (!reader.ReadU64(&cursor_id) || !reader.ReadU32(&max_entries) ||
       !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   const auto it = session->cursors.find(cursor_id);
   if (it == session->cursors.end()) {
-    return StatusOnly(
+    return AppendStatusHeader(out, 
         Status::NotFound("unknown cursor id " + std::to_string(cursor_id)));
   }
   Cursor* cursor = it->second.cursor.get();
-  const uint32_t cap =
-      std::min(std::max<uint32_t>(max_entries, 1), options_.max_entries_per_chunk);
-  std::vector<uint8_t> body;
-  uint32_t count = 0;
-  for (; cursor->Valid() && count < cap; cursor->Next(), ++count) {
-    const SpatialEntry& entry = cursor->entry();
-    AppendCell(&body, entry.cell);
-    AppendU64(&body, entry.payload);
-    AppendU64(&body, entry.seq);
-  }
-  uint8_t flags = 0;
+  const uint32_t cap = std::min(std::max<uint32_t>(max_entries, 1),
+                                options_.max_entries_per_chunk);
+  AppendCursorChunk(out, cursor, cap);
+  // A failed cursor is dead and an exhausted one is done: both close
+  // server-side (the failure went out as a status-only response), and a
+  // later kCursorClose is an idempotent no-op.
   if (!cursor->Valid()) {
-    if (!cursor->status().ok()) {
-      // A failed cursor is dead; release it with the error.
-      const Status status = cursor->status();
-      session->cursors.erase(it);
-      cursors_open_->Add(-1);
-      return StatusOnly(status);
-    }
-    flags |= kCursorDone;
-    if (cursor->hit_read_budget()) flags |= kCursorHitReadBudget;
-    // Exhausted cursors close server-side; a later kCursorClose is an
-    // idempotent no-op.
     session->cursors.erase(it);
     cursors_open_->Add(-1);
   }
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU8(&out, flags);
-  AppendU32(&out, count);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
-std::vector<uint8_t> SfcServer::ExecCursorClose(Session* session,
-                                                const Frame& frame) {
+void SfcServer::ExecCursorClose(Session* session, const Frame& frame,
+                                std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   uint64_t cursor_id = 0;
   if (!reader.ReadU64(&cursor_id) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   if (session->cursors.erase(cursor_id) > 0) cursors_open_->Add(-1);
-  return StatusOnly(Status::OK());
+  return AppendStatusHeader(out, Status::OK());
 }
 
-std::vector<uint8_t> SfcServer::ExecSnapshotAcquire(Session* session) {
+void SfcServer::ExecSnapshotAcquire(Session* session,
+                                    std::vector<uint8_t>* out) {
   Result<std::shared_ptr<const storage::DbSnapshot>> snapshot =
       db_->GetSnapshot();
-  if (!snapshot.ok()) return StatusOnly(snapshot.status());
+  if (!snapshot.ok()) return AppendStatusHeader(out, snapshot.status());
   const uint64_t id = ++next_snapshot_id_;
   session->snapshots.emplace(id, std::move(snapshot).value());
   snapshots_pinned_->Add(1);
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU64(&out, id);
-  return out;
+  AppendStatusHeader(out, Status::OK());
+  AppendU64(out, id);
 }
 
-std::vector<uint8_t> SfcServer::ExecSnapshotRelease(Session* session,
-                                                    const Frame& frame) {
+void SfcServer::ExecSnapshotRelease(Session* session, const Frame& frame,
+                                    std::vector<uint8_t>* out) {
   PayloadReader reader(frame.payload);
   uint64_t snapshot_id = 0;
   if (!reader.ReadU64(&snapshot_id) || !reader.Done()) {
     requests_bad_->Increment();
-    return StatusOnly(kMalformed);
+    return AppendStatusHeader(out, kMalformed);
   }
   if (session->snapshots.erase(snapshot_id) == 0) {
-    return StatusOnly(Status::NotFound("unknown snapshot id " +
+    return AppendStatusHeader(out, Status::NotFound("unknown snapshot id " +
                                        std::to_string(snapshot_id)));
   }
   snapshots_pinned_->Add(-1);
-  return StatusOnly(Status::OK());
+  return AppendStatusHeader(out, Status::OK());
 }
 
-std::vector<uint8_t> SfcServer::ExecDumpMetrics() {
+void SfcServer::ExecDumpMetrics(std::vector<uint8_t>* out) {
   const std::string json = db_->DumpMetrics();
-  std::vector<uint8_t> out = StatusOnly(Status::OK());
-  AppendU32(&out, static_cast<uint32_t>(json.size()));
-  out.insert(out.end(), json.begin(), json.end());
-  return out;
+  AppendStatusHeader(out, Status::OK());
+  AppendU32(out, static_cast<uint32_t>(json.size()));
+  out->insert(out->end(), json.begin(), json.end());
 }
 
 }  // namespace onion::net

@@ -156,8 +156,10 @@ class SfcServer {
   /// closed (protocol error).
   bool DrainRequests(Session* session);
   void HandleFrame(Session* session, const Frame& frame);
-  void QueueResponse(Session* session, uint64_t request_id,
-                     uint8_t request_type, const std::vector<uint8_t>& payload);
+  /// Finishes the response frame `*wire` holds (net/protocol.h FinishFrame)
+  /// and sends it, queueing what the socket does not take; a queued
+  /// response takes the buffer with it.
+  void QueueResponse(Session* session, std::vector<uint8_t>* wire);
   /// Updates EPOLLIN/EPOLLOUT registration to match the session's queue
   /// and backpressure state.
   void UpdateInterest(Session* session);
@@ -165,21 +167,26 @@ class SfcServer {
   /// The deadline sweep: force-expires sessions without progress.
   void ExpireStale(uint64_t now_us);
 
-  // Request executors (each appends the response payload after a status
-  // header).
-  std::vector<uint8_t> ExecPut(const Frame& frame);
-  std::vector<uint8_t> ExecDelete(const Frame& frame);
-  std::vector<uint8_t> ExecWrite(const Frame& frame);
-  std::vector<uint8_t> ExecGet(Session* session, const Frame& frame);
-  std::vector<uint8_t> ExecOpenBoxCursor(Session* session, const Frame& frame);
-  std::vector<uint8_t> ExecOpenIndexCursor(Session* session,
-                                           const Frame& frame);
-  std::vector<uint8_t> ExecCursorNext(Session* session, const Frame& frame);
-  std::vector<uint8_t> ExecCursorClose(Session* session, const Frame& frame);
-  std::vector<uint8_t> ExecSnapshotAcquire(Session* session);
-  std::vector<uint8_t> ExecSnapshotRelease(Session* session,
-                                           const Frame& frame);
-  std::vector<uint8_t> ExecDumpMetrics();
+  // Request executors: each appends the response payload (a status
+  // header, then the type's fields) to `out`, after the frame header
+  // HandleFrame began there.
+  void ExecPut(const Frame& frame, std::vector<uint8_t>* out);
+  void ExecDelete(const Frame& frame, std::vector<uint8_t>* out);
+  void ExecWrite(const Frame& frame, std::vector<uint8_t>* out);
+  void ExecGet(Session* session, const Frame& frame,
+               std::vector<uint8_t>* out);
+  void ExecOpenBoxCursor(Session* session, const Frame& frame,
+                         std::vector<uint8_t>* out);
+  void ExecOpenIndexCursor(Session* session, const Frame& frame,
+                           std::vector<uint8_t>* out);
+  void ExecCursorNext(Session* session, const Frame& frame,
+                      std::vector<uint8_t>* out);
+  void ExecCursorClose(Session* session, const Frame& frame,
+                       std::vector<uint8_t>* out);
+  void ExecSnapshotAcquire(Session* session, std::vector<uint8_t>* out);
+  void ExecSnapshotRelease(Session* session, const Frame& frame,
+                           std::vector<uint8_t>* out);
+  void ExecDumpMetrics(std::vector<uint8_t>* out);
 
   /// Resolves a table by name, opening it on demand; null with a status.
   storage::SfcTable* ResolveTable(const std::string& name, Status* status);
@@ -217,6 +224,9 @@ class SfcServer {
   // Loop-thread-owned state (never touched while the loop runs, except by
   // the loop itself; Start/Stop serialize around the thread's lifetime).
   std::map<int, std::unique_ptr<Session>> sessions_;
+  /// The response being built; reused across requests so a fully sent
+  /// response leaves its capacity for the next one.
+  std::vector<uint8_t> response_;
   uint64_t next_session_id_ = 0;
   uint64_t next_snapshot_id_ = 0;
   uint64_t next_cursor_id_ = 0;

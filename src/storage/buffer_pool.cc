@@ -10,9 +10,9 @@ BufferPool::BufferPool(uint64_t capacity_pages, uint64_t readahead_pages)
 }
 
 std::shared_ptr<const std::vector<Entry>> BufferPool::Fetch(
-    const PageSource& source, uint64_t page, AtomicIoStats* attribution,
-    Status* status, const Box* box) {
-  if (status != nullptr) *status = Status::OK();
+    const PageSource& source, uint64_t page, Status* status,
+    AtomicIoStats* attribution, const Box* box) {
+  *status = Status::OK();
   const FrameKey key{source.source_id(), page};
   WriterLock lock(mu_);
   auto it = resident_.find(key);
@@ -95,9 +95,7 @@ std::shared_ptr<const std::vector<Entry>> BufferPool::Fetch(
     const Status read_status = source.ReadPage(page, data.get());
     if (!read_status.ok()) {
       // The physical read attempt stays counted (it happened); the page
-      // just never becomes resident. Callers with a status sink turn this
-      // into a query error, everyone else treats it as fatal.
-      ONION_CHECK_MSG(status != nullptr, read_status.ToString().c_str());
+      // just never becomes resident.
       *status = read_status;
       return nullptr;
     }
@@ -117,7 +115,6 @@ std::shared_ptr<const std::vector<Entry>> BufferPool::Fetch(
       auto data = std::make_shared<std::vector<Entry>>();
       const Status read_status = source.ReadPage(page, data.get());
       if (!read_status.ok()) {
-        ONION_CHECK_MSG(status != nullptr, read_status.ToString().c_str());
         *status = read_status;
         return nullptr;
       }

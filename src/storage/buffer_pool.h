@@ -8,9 +8,9 @@
 // previous disk read *of the same source* — switching runs always seeks,
 // which is exactly why compaction into fewer runs pays off.
 //
-// Range scans consult only the fence index to decide which pages to fetch
-// and when to stop; entry data is touched strictly after Fetch(), so the
-// counters are honest even when pages live in a file.
+// Readers (the table cursor) consult only the fence index to decide which
+// pages to fetch and when to stop; entry data is touched strictly after
+// Fetch(), so the counters are honest even when pages live in a file.
 //
 // Thread safety: the pool is fully thread-safe. A shared_mutex guards the
 // LRU structures — Fetch() and Drop() mutate them under the exclusive
@@ -49,9 +49,9 @@ class BufferPool {
   /// the frame is evicted or its source is Drop()ped meanwhile. When
   /// `attribution` is non-null the same counter increments land there too
   /// (relaxed atomics), attributing the I/O to one client of a shared pool.
-  /// A failed page read (e.g. Status::Corruption from a checksum mismatch)
-  /// returns nullptr with the error in `*status` when given; with no
-  /// status sink the failure is fatal (CHECK).
+  /// `status` (required) is set to OK on success; a failed page read (e.g.
+  /// Status::Corruption from a checksum mismatch) returns nullptr with the
+  /// error in `*status`.
   ///
   /// With readahead enabled, a miss extends into ONE batched read over the
   /// run of pages following `page` (stopping at the source's end, at an
@@ -62,9 +62,8 @@ class BufferPool {
   /// their first touch counts readahead_hits, eviction or Drop() before
   /// any touch counts readahead_wasted.
   std::shared_ptr<const std::vector<Entry>> Fetch(
-      const PageSource& source, uint64_t page,
-      AtomicIoStats* attribution = nullptr, Status* status = nullptr,
-      const Box* box = nullptr);
+      const PageSource& source, uint64_t page, Status* status,
+      AtomicIoStats* attribution = nullptr, const Box* box = nullptr);
 
   /// Filter fast path: returns false when `source`'s filter proves no
   /// entry has key `key` — the page fetch a point probe would have done is
@@ -74,32 +73,9 @@ class BufferPool {
   bool ProbeFilter(const PageSource& source, Key key,
                    AtomicIoStats* attribution = nullptr);
 
-  /// Scans all entries of `source` with lo <= key <= hi through the pool,
-  /// invoking fn(key, payload). Page selection and loop termination use the
-  /// fence index only; pages are read exclusively via Fetch().
-  template <typename Fn>
-  void ScanRange(const PageSource& source, Key lo, Key hi, Fn&& fn,
-                 AtomicIoStats* attribution = nullptr) {
-    const uint64_t pages = source.num_pages();
-    uint64_t delivered = 0;
-    for (uint64_t page = source.PageOf(lo); page < pages; ++page) {
-      // Fence test: this page starts past the range, so neither it nor any
-      // later page can contribute — stop without I/O.
-      if (source.first_key(page) > hi) break;
-      const auto data = Fetch(source, page, attribution);  // CHECKs on error
-      for (const Entry& entry : *data) {
-        if (entry.key < lo) continue;
-        if (entry.key > hi) break;
-        ++delivered;
-        fn(entry.key, entry.payload);
-      }
-    }
-    AddEntriesRead(delivered, attribution);
-  }
-
   /// Credits entries delivered to a caller that fetches pages itself (the
-  /// streaming cursor does) so `entries_read` stays comparable between the
-  /// scan and cursor paths.
+  /// streaming cursor does), keeping `entries_read` complete in the pool
+  /// aggregate.
   void AddEntriesRead(uint64_t count, AtomicIoStats* attribution = nullptr);
 
   /// Credits page fetches a caller avoided through zone-map checks of its

@@ -71,8 +71,7 @@ class SnapshotCursor final : public Cursor {
   SnapshotCursor(const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
                  const Box* query_box, std::vector<Entry> memtable_entries,
                  SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
-                 AtomicIoStats* io_stats, const ReadOptions& options,
-                 obs::Histogram* next_latency_us)
+                 AtomicIoStats* io_stats, const ReadOptions& options)
       : curve_(curve),
         ranges_(std::move(ranges)),
         has_box_(query_box != nullptr),
@@ -82,38 +81,23 @@ class SnapshotCursor final : public Cursor {
         pool_(std::move(pool)),
         io_stats_(io_stats),
         options_(options),
-        next_us_(next_latency_us),
         visible_seq_(options.snapshot != nullptr ? options.snapshot->sequence
                                                  : kMaxSequence) {
-    if (!ranges_.empty()) {
-      const obs::ScopedTimer timer(next_us_);  // the initial seek
-      if (BeginRange()) FindNext();
-    } else {
-      valid_ = false;
-    }
+    if (!ranges_.empty() && BeginRange()) FindNext();
+    if (!valid_) PublishCounts();
   }
 
-  ~SnapshotCursor() override {
-    // Pool-global entries_read and zone-map skips are batched here
-    // (per-event attribution went to io_stats_ immediately); the pool
-    // outlives the cursor by contract.
-    if (pool_ != nullptr) {
-      if (pending_entries_read_ > 0) {
-        pool_->AddEntriesRead(pending_entries_read_, nullptr);
-      }
-      if (pending_filter_skips_ > 0) {
-        pool_->AddFilterSkips(pending_filter_skips_, nullptr);
-      }
-    }
-  }
+  // An abandoned cursor publishes what it counted so far; the pool
+  // outlives the cursor by contract.
+  ~SnapshotCursor() override { PublishCounts(); }
 
   bool Valid() const override { return valid_; }
 
   void Next() override {
     ONION_CHECK_MSG(valid_, "Next() on an invalid cursor");
     valid_ = false;
-    const obs::ScopedTimer timer(next_us_);
     FindNext();
+    if (!valid_) PublishCounts();
   }
 
   const SpatialEntry& entry() const override {
@@ -148,9 +132,23 @@ class SnapshotCursor final : public Cursor {
     bool from_mem = false;
   };
 
+  /// Publishes the per-entry count kept locally: entries_read to the table
+  /// (io_stats_) and the pool aggregate, and the zone-map skips to the pool
+  /// aggregate. Runs when the cursor ends (exhausted, budget stop or error)
+  /// and again in the destructor, which then finds nothing left to add.
+  /// Counting locally keeps a shared atomic and the pool lock off the
+  /// per-entry path.
+  void PublishCounts() {
+    if (pool_ == nullptr) return;
+    pool_->AddEntriesRead(pending_entries_read_, io_stats_);
+    pool_->AddFilterSkips(pending_filter_skips_, nullptr);
+    pending_entries_read_ = 0;
+    pending_filter_skips_ = 0;
+  }
+
   /// Counts one page fetch avoided by a zone-map check: locally (for the
   /// accessor), per-table (io_stats_, immediate), and pool-global
-  /// (batched in the destructor).
+  /// (batched by PublishCounts).
   void CountZoneSkip() {
     ++skipped_;
     ++pending_filter_skips_;
@@ -184,7 +182,7 @@ class SnapshotCursor final : public Cursor {
     // Pass the query box through so pool readahead stops at the first
     // zone-excluded page: a page this cursor would ZoneSkip is never
     // prefetched on its behalf.
-    *out = pool_->Fetch(segment, page_no, io_stats_, &fetch_status,
+    *out = pool_->Fetch(segment, page_no, &fetch_status, io_stats_,
                         has_box_ ? &box_ : nullptr);
     if (*out == nullptr) {
       status_ = fetch_status;  // e.g. a page checksum mismatch
@@ -403,12 +401,7 @@ class SnapshotCursor final : public Cursor {
         current_ = SpatialEntry{curve_->CellAt(e.entry.key), e.entry.payload,
                                 SequenceOf(e.entry.seq)};
         ++delivered_;
-        if (!e.from_mem) {
-          ++pending_entries_read_;
-          if (io_stats_ != nullptr) {
-            io_stats_->entries_read.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        if (!e.from_mem) ++pending_entries_read_;
         valid_ = true;
         return;
       }
@@ -429,7 +422,6 @@ class SnapshotCursor final : public Cursor {
   const std::shared_ptr<BufferPool> pool_;
   AtomicIoStats* const io_stats_;
   const ReadOptions options_;
-  obs::Histogram* const next_us_;  // per-step latency sink (may be null)
   const uint64_t visible_seq_;  // read sequence: snapshot or "latest"
 
   std::vector<Source> sources_;
@@ -443,7 +435,7 @@ class SnapshotCursor final : public Cursor {
   uint64_t delivered_ = 0;
   uint64_t pages_touched_ = 0;
   uint64_t bytes_fetched_ = 0;  // on-disk bytes, the max_bytes unit
-  uint64_t pending_entries_read_ = 0;
+  uint64_t pending_entries_read_ = 0;  // unpublished; see PublishCounts
   uint64_t pending_filter_skips_ = 0;
   uint64_t skipped_ = 0;  // bloom + zone-map page fetches avoided
   Status status_;
@@ -593,12 +585,10 @@ std::unique_ptr<Cursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
-    AtomicIoStats* io_stats, const ReadOptions& options,
-    obs::Histogram* next_latency_us) {
+    AtomicIoStats* io_stats, const ReadOptions& options) {
   return std::make_unique<SnapshotCursor>(
       curve, std::move(ranges), query_box, std::move(memtable_entries),
-      std::move(segments), std::move(pool), io_stats, options,
-      next_latency_us);
+      std::move(segments), std::move(pool), io_stats, options);
 }
 
 }  // namespace storage

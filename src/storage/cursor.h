@@ -42,8 +42,7 @@
 #include "storage/io_stats.h"
 
 namespace onion::obs {
-class Counter;    // obs/metrics.h — kept out of this lightweight header
-class Histogram;
+class Counter;  // obs/metrics.h — kept out of this lightweight header
 }  // namespace onion::obs
 
 namespace onion {
@@ -168,15 +167,15 @@ struct SegmentSnapshot {
 /// hold no key of any range. Point ranges (lo == hi) additionally probe
 /// each candidate segment's bloom filter through the pool before touching
 /// any page.
-/// `next_latency_us` (may be null) receives the duration of every
-/// positioning step — the initial seek and each Next() — in microseconds,
-/// feeding the table's cursor.next_us histogram.
+/// Delivered segment entries are counted in the cursor and added to
+/// `io_stats` and the pool's `entries_read` once, when the cursor ends
+/// (exhausted, budget stop or error) or is destroyed, whichever comes
+/// first.
 std::unique_ptr<Cursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
     SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
-    AtomicIoStats* io_stats, const ReadOptions& options,
-    obs::Histogram* next_latency_us = nullptr);
+    AtomicIoStats* io_stats, const ReadOptions& options);
 
 class SfcTable;
 

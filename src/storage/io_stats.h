@@ -93,9 +93,9 @@ struct IoStats {
 };
 
 /// Lock-free I/O counters for per-table attribution on a SHARED buffer
-/// pool: every table passes its own AtomicIoStats into the pool's
-/// Fetch/ScanRange calls, so "who caused this I/O" survives many tables
-/// sharing one pool (the pool's own IoStats stays the physical aggregate).
+/// pool: every table passes its own AtomicIoStats into the pool's Fetch
+/// calls, so "who caused this I/O" survives many tables sharing one pool
+/// (the pool's own IoStats stays the physical aggregate).
 /// All updates are relaxed — the counters are statistics, not
 /// synchronization.
 struct AtomicIoStats {

@@ -211,7 +211,6 @@ SfcTable::SfcTable(std::string dir, std::unique_ptr<SpaceFillingCurve> curve,
   m_.write_commit_us = metrics_->histogram("write.commit_us");
   m_.flush_us = metrics_->histogram("flush.us");
   m_.compaction_us = metrics_->histogram("compaction.us");
-  m_.cursor_next_us = metrics_->histogram("cursor.next_us");
   m_.flush_bytes = metrics_->counter("flush.bytes");
   m_.flush_entries = metrics_->counter("flush.entries");
   m_.flush_count = metrics_->counter("flush.count");
@@ -1402,11 +1401,8 @@ std::unique_ptr<Cursor> SfcTable::NewScanCursor(const ReadOptions& options) {
 std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
                                                   const Box* query_box,
                                                   const ReadOptions& options) {
-  {
-    const MutexLock stats_lock(stats_mu_);
-    ++read_stats_.queries;
-    read_stats_.ranges += ranges.size();
-  }
+  read_stats_.queries.fetch_add(1, std::memory_order_relaxed);
+  read_stats_.ranges.fetch_add(ranges.size(), std::memory_order_relaxed);
 
   // Reads above the snapshot sequence are dropped at collection time
   // (cheaper than filtering in the merge); tombstones at or below it are
@@ -1458,8 +1454,8 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
   // Everything below runs WITHOUT the table lock: the cursor owns the
   // snapshot and later flushes/compactions cannot disturb it.
   if (!mem_hits.empty()) {
-    const MutexLock stats_lock(stats_mu_);
-    read_stats_.memtable_entries += mem_hits.size();
+    read_stats_.memtable_entries.fetch_add(mem_hits.size(),
+                                           std::memory_order_relaxed);
   }
   std::sort(mem_hits.begin(), mem_hits.end(),
             [](const Entry& a, const Entry& b) {
@@ -1468,7 +1464,7 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
             });
   return NewSnapshotCursor(curve_.get(), std::move(ranges), query_box,
                            std::move(mem_hits), std::move(snapshot), pool_,
-                           &io_stats_, options, m_.cursor_next_us);
+                           &io_stats_, options);
 }
 
 Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
@@ -1488,15 +1484,18 @@ Result<std::vector<uint64_t>> SfcTable::Get(const Cell& cell,
 }
 
 TableReadStats SfcTable::read_stats() const {
-  const MutexLock stats_lock(stats_mu_);
-  return read_stats_;
+  TableReadStats out;
+  out.queries = read_stats_.queries.load(std::memory_order_relaxed);
+  out.ranges = read_stats_.ranges.load(std::memory_order_relaxed);
+  out.memtable_entries =
+      read_stats_.memtable_entries.load(std::memory_order_relaxed);
+  return out;
 }
 
 void SfcTable::ResetStats() {
-  {
-    const MutexLock stats_lock(stats_mu_);
-    read_stats_.Reset();
-  }
+  read_stats_.queries.store(0, std::memory_order_relaxed);
+  read_stats_.ranges.store(0, std::memory_order_relaxed);
+  read_stats_.memtable_entries.store(0, std::memory_order_relaxed);
   io_stats_.Reset();
 }
 

@@ -159,8 +159,6 @@ struct TableReadStats {
   uint64_t queries = 0;
   uint64_t ranges = 0;            ///< decomposed key ranges (== clusters)
   uint64_t memtable_entries = 0;  ///< results served from unflushed data
-
-  void Reset() { *this = TableReadStats{}; }
 };
 
 /// Introspection record for one live segment (tests, benches, tooling).
@@ -472,7 +470,6 @@ class SfcTable {
     obs::Histogram* write_commit_us = nullptr;
     obs::Histogram* flush_us = nullptr;
     obs::Histogram* compaction_us = nullptr;
-    obs::Histogram* cursor_next_us = nullptr;
     obs::Counter* flush_bytes = nullptr;
     obs::Counter* flush_entries = nullptr;
     obs::Counter* flush_count = nullptr;
@@ -557,8 +554,15 @@ class SfcTable {
   std::shared_ptr<BufferPool> pool_;
   mutable AtomicIoStats io_stats_;
 
-  mutable Mutex stats_mu_;
-  TableReadStats read_stats_ ONION_GUARDED_BY(stats_mu_);
+  // The live TableReadStats counters. Every cursor and Get bumps them, so
+  // they are relaxed atomics (statistics, not synchronization) rather
+  // than fields behind a lock every reader would share.
+  struct AtomicReadStats {
+    std::atomic<uint64_t> queries{0};
+    std::atomic<uint64_t> ranges{0};
+    std::atomic<uint64_t> memtable_entries{0};
+  };
+  AtomicReadStats read_stats_;
 };
 
 }  // namespace onion::storage

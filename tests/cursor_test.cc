@@ -1,7 +1,8 @@
 // Streaming-cursor tests: box and scan cursors vs a brute-force filter
 // (also on mixed memtable + L0 + deeper-level state), limit / page-budget
-// early exit with page accounting, snapshot isolation, and
-// cursor-outlives-compaction safety (also run under the CI TSan job).
+// early exit with page accounting, exact entries_read attribution,
+// snapshot isolation, and cursor-outlives-compaction safety (also run
+// under the CI TSan job).
 
 #include <algorithm>
 #include <filesystem>
@@ -15,6 +16,7 @@
 
 #include "brute_force.h"
 #include "sfc/registry.h"
+#include "storage/sfc_db.h"
 #include "storage/sfc_table.h"
 #include "workloads/generators.h"
 
@@ -212,6 +214,107 @@ TEST(CursorTest, MaxPagesBudgetBoundsFetches) {
   DrainCursor(byte_cursor.get());
   EXPECT_TRUE(byte_cursor->hit_read_budget());
   EXPECT_LE(PagesTouched(table), 3u);
+}
+
+TEST(CursorTest, EntriesReadCountsDeliveredSegmentEntriesExactly) {
+  // A cursor counts the segment entries it delivers locally and adds them
+  // to the table's and the shared pool's entries_read once, when it ends
+  // or is destroyed. At each such point both must have grown by exactly
+  // the delivered count; memtable entries are not reads and never count.
+  const Universe universe(2, 64);
+  const auto points = RandomPoints(universe, 3000, 307);
+  SfcDbOptions db_options;
+  db_options.pool_pages = 64;
+  auto db_result = SfcDb::Open(FreshDir("entries_read"), db_options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  SfcDb& db = *db_result.value();
+  SfcTableOptions options;
+  options.entries_per_page = 16;
+  auto table_result = db.CreateTable("points", "onion", universe, options);
+  ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
+  SfcTable& table = *table_result.value();
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(table.Insert(points[i], i).ok());
+  }
+  ASSERT_TRUE(table.Flush().ok());
+  constexpr uint64_t kMemPayload = 1u << 30;  // stays in the memtable
+  ASSERT_TRUE(table.Insert(Cell(9, 9), kMemPayload).ok());
+  const auto from_segment = [](uint64_t payload) {
+    return payload != kMemPayload ? 1u : 0u;
+  };
+
+  struct Counts {
+    uint64_t table;
+    uint64_t pool;
+  };
+  const auto counts = [&] {
+    return Counts{table.io_stats().entries_read,
+                  db.pool_stats().entries_read};
+  };
+  const auto expect_counted = [&](const Counts& before, uint64_t delivered,
+                                  const char* label) {
+    const Counts after = counts();
+    EXPECT_EQ(after.table - before.table, delivered) << label;
+    EXPECT_EQ(after.pool - before.pool, after.table - before.table) << label;
+  };
+  const Box box(Cell(8, 8), Cell(40, 40));
+
+  {  // Drained: counted before the cursor is destroyed, and only once.
+    const Counts before = counts();
+    auto cursor = table.NewBoxCursor(box);
+    uint64_t delivered = 0;
+    for (; cursor->Valid(); cursor->Next()) {
+      delivered += from_segment(cursor->entry().payload);
+    }
+    ASSERT_TRUE(cursor->status().ok());
+    ASSERT_GT(delivered, 100u);
+    expect_counted(before, delivered, "drained");
+    cursor.reset();
+    expect_counted(before, delivered, "drained, then destroyed");
+  }
+  {  // Abandoned mid-range: counted by the destructor.
+    const Counts before = counts();
+    uint64_t delivered = 0;
+    {
+      // Ten entries become current; the cursor is dropped on the tenth.
+      auto cursor = table.NewBoxCursor(box);
+      for (int i = 0; i < 10; ++i) {
+        if (i > 0) cursor->Next();
+        ASSERT_TRUE(cursor->Valid());
+        delivered += from_segment(cursor->entry().payload);
+      }
+    }
+    EXPECT_GT(delivered, 0u);
+    expect_counted(before, delivered, "abandoned");
+  }
+  {  // Stopped by a max_pages budget: counted when the cursor stops.
+    const Counts before = counts();
+    ReadOptions bounded;
+    bounded.max_pages = 3;
+    auto cursor = table.NewBoxCursor(box, bounded);
+    uint64_t delivered = 0;
+    for (; cursor->Valid(); cursor->Next()) {
+      delivered += from_segment(cursor->entry().payload);
+    }
+    ASSERT_TRUE(cursor->hit_read_budget());
+    EXPECT_GT(delivered, 0u);
+    expect_counted(before, delivered, "budget stop");
+    cursor.reset();
+    expect_counted(before, delivered, "budget stop, then destroyed");
+  }
+  {  // A point Get, on a segment cell and on the memtable-only cell.
+    for (const Cell& cell : {points[7], Cell(9, 9)}) {
+      const Counts before = counts();
+      auto rows = table.Get(cell);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_FALSE(rows.value().empty());
+      uint64_t delivered = 0;
+      for (const uint64_t payload : rows.value()) {
+        delivered += from_segment(payload);
+      }
+      expect_counted(before, delivered, cell.ToString().c_str());
+    }
+  }
 }
 
 TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {

@@ -1,8 +1,9 @@
 // Network front-end tests: frame codec round-trips and decoder hostility
 // (torn, oversized, bad-CRC, random-garbage streams), client/server wire
 // round-trips for every request type, read-budget propagation parity with
-// local cursors, pipelining with backpressure, and the slow-session
-// deadline force-releasing snapshot pins while other sessions stay live.
+// local cursors, pipelining with backpressure, the slow-session deadline
+// force-releasing snapshot pins while other sessions stay live, and
+// in-place response frames matching field-by-field encoding byte for byte.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -204,6 +205,91 @@ TEST(NetProtocolTest, PayloadReaderBoundsChecksEveryField) {
   }
 }
 
+// --- in-place response frames ----------------------------------------------
+
+/// A kCursorNext payload assembled the way the server did before it built
+/// responses in place: status header, flags, count, then every entry field
+/// by field. The golden reference for the in-place encoder.
+std::vector<uint8_t> ChunkPayloadFieldByField(
+    const std::vector<SpatialEntry>& entries, uint8_t flags) {
+  std::vector<uint8_t> payload;
+  AppendStatusHeader(&payload, Status::OK());
+  AppendU8(&payload, flags);
+  AppendU32(&payload, static_cast<uint32_t>(entries.size()));
+  for (const SpatialEntry& entry : entries) {
+    AppendCell(&payload, entry.cell);
+    AppendU64(&payload, entry.payload);
+    AppendU64(&payload, entry.seq);
+  }
+  return payload;
+}
+
+std::vector<uint8_t> StatusOnlyPayload(const Status& status) {
+  std::vector<uint8_t> payload;
+  AppendStatusHeader(&payload, status);
+  return payload;
+}
+
+constexpr uint8_t kCursorNextResponse =
+    static_cast<uint8_t>(MessageType::kCursorNext) | kResponseBit;
+
+/// Serves a fixed entry list, then ends with `end_status` (OK: exhausted).
+class ListCursor final : public Cursor {
+ public:
+  ListCursor(std::vector<SpatialEntry> entries, Status end_status)
+      : entries_(std::move(entries)), end_status_(std::move(end_status)) {}
+
+  bool Valid() const override { return pos_ < entries_.size(); }
+  void Next() override { ++pos_; }
+  const SpatialEntry& entry() const override { return entries_[pos_]; }
+  Status status() const override {
+    return Valid() ? Status::OK() : end_status_;
+  }
+
+ private:
+  const std::vector<SpatialEntry> entries_;
+  const Status end_status_;
+  size_t pos_ = 0;
+};
+
+TEST(NetProtocolTest, InPlaceChunkFramesMatchFieldByFieldEncoding) {
+  std::vector<SpatialEntry> entries;
+  for (uint32_t i = 0; i < 12; ++i) {
+    entries.push_back(SpatialEntry{Cell(i, 63 - i, i * 7), 1000 + i, i + 1});
+  }
+  const auto in_place = [](uint64_t id, Cursor* cursor, uint32_t cap) {
+    std::vector<uint8_t> wire = {0xAA, 0xBB};  // bytes already in the buffer
+    const size_t start = BeginFrame(&wire, id, kCursorNextResponse);
+    AppendCursorChunk(&wire, cursor, cap);
+    FinishFrame(&wire, start);
+    return std::vector<uint8_t>(wire.begin() + 2, wire.end());
+  };
+  {
+    // Capped mid-list: 5 entries, cursor still valid, no flags.
+    ListCursor cursor(entries, Status::OK());
+    EXPECT_EQ(in_place(1, &cursor, 5),
+              EncodeFrame(1, kCursorNextResponse,
+                          ChunkPayloadFieldByField(
+                              {entries.begin(), entries.begin() + 5}, 0)));
+    EXPECT_TRUE(cursor.Valid());
+  }
+  {
+    // A cursor that fails after 3 entries: the partial chunk is dropped
+    // and only the error's status header goes out.
+    const Status error = Status::Corruption("page 7 checksum mismatch");
+    ListCursor cursor({entries.begin(), entries.begin() + 3}, error);
+    EXPECT_EQ(in_place(2, &cursor, 10),
+              EncodeFrame(2, kCursorNextResponse, StatusOnlyPayload(error)));
+  }
+  {
+    // A cursor that is already done: an empty chunk flagged kCursorDone.
+    ListCursor cursor({}, Status::OK());
+    EXPECT_EQ(in_place(3, &cursor, 10),
+              EncodeFrame(3, kCursorNextResponse,
+                          ChunkPayloadFieldByField({}, kCursorDone)));
+  }
+}
+
 // --- client/server fixtures -----------------------------------------------
 
 struct TestServer {
@@ -263,6 +349,19 @@ class RawConn {
     }
   }
 
+  /// Reads one whole frame, header included, exactly as the server wrote
+  /// it. Only for a connection that never used ReadFrame.
+  bool ReadRawFrame(std::vector<uint8_t>* out) {
+    out->assign(kFrameHeaderBytes, 0);
+    if (!RecvAll(out->data(), kFrameHeaderBytes)) return false;
+    const uint32_t body = static_cast<uint32_t>((*out)[0]) |
+                          static_cast<uint32_t>((*out)[1]) << 8 |
+                          static_cast<uint32_t>((*out)[2]) << 16 |
+                          static_cast<uint32_t>((*out)[3]) << 24;
+    out->resize(kFrameHeaderBytes + body);
+    return RecvAll(out->data() + kFrameHeaderBytes, body);
+  }
+
   /// Blocks until the server acts; true when it closed the connection
   /// without sending a byte. A server that closes a socket whose receive
   /// queue still holds our request makes the kernel send RST instead of
@@ -274,6 +373,16 @@ class RawConn {
   }
 
  private:
+  bool RecvAll(uint8_t* data, size_t n) {
+    while (n > 0) {
+      const ssize_t got = ::recv(fd_, data, n, 0);
+      if (got <= 0) return false;
+      data += got;
+      n -= static_cast<size_t>(got);
+    }
+    return true;
+  }
+
   int fd_ = -1;
   FrameDecoder decoder_;
 };
@@ -610,6 +719,133 @@ TEST(NetServerTest, IndexCursorOverTheWire) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(NetServerTest, InPlaceResponsesMatchFieldByFieldEncoding) {
+  // Every response the server builds in place must be byte for byte the
+  // frame EncodeFrame makes from a payload assembled field by field. The
+  // expected entries come from local cursors on the same tables, which
+  // deliver in the same order.
+  SfcServerOptions options;
+  options.max_entries_per_chunk = 40;
+  auto ts = TestServer::Start(FreshDir("golden"), options);
+  auto flat = ts.db->CreateTable("flat", "hilbert", Universe(2, 64));
+  auto cube = ts.db->CreateTable("cube", "onion", Universe(3, 16));
+  ASSERT_TRUE(flat.ok() && cube.ok());
+  for (Coord x = 0; x < 12; ++x) {
+    for (Coord y = 0; y < 12; ++y) {
+      ASSERT_TRUE(flat.value()->Insert(Cell(x, y), x * 100 + y).ok());
+      ASSERT_TRUE(cube.value()->Insert(Cell(x, y, (x + y) % 16), x + y).ok());
+    }
+  }
+  ASSERT_TRUE(flat.value()->Insert(Cell(3, 4), 777).ok());  // two at (3, 4)
+  ASSERT_TRUE(flat.value()->Flush().ok());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(ts.server->port()));
+  uint64_t next_id = 100;
+  // Sends one request and checks the raw response bytes against the
+  // frame EncodeFrame makes from `expected_payload`.
+  const auto round_trip = [&](MessageType type,
+                              const std::vector<uint8_t>& request,
+                              const std::vector<uint8_t>& expected_payload) {
+    const uint64_t id = ++next_id;
+    const auto type_byte = static_cast<uint8_t>(type);
+    EXPECT_TRUE(conn.SendBytes(EncodeFrame(id, type_byte, request)));
+    std::vector<uint8_t> wire;
+    EXPECT_TRUE(conn.ReadRawFrame(&wire));
+    EXPECT_EQ(wire, EncodeFrame(id, type_byte | kResponseBit,
+                                expected_payload))
+        << MessageTypeName(type_byte);
+  };
+  const auto open_cursor = [&](const std::string& table, const Box& box) {
+    const uint64_t id = ++next_id;
+    std::vector<uint8_t> request;
+    AppendString(&request, table);
+    AppendBox(&request, box);
+    for (int i = 0; i < 4; ++i) AppendU64(&request, 0);  // snapshot, budgets
+    EXPECT_TRUE(conn.SendBytes(EncodeFrame(
+        id, static_cast<uint8_t>(MessageType::kOpenBoxCursor), request)));
+    std::vector<uint8_t> wire;
+    EXPECT_TRUE(conn.ReadRawFrame(&wire));
+    FrameDecoder decoder;
+    decoder.Feed(wire.data(), wire.size());
+    Frame frame;
+    Response response;
+    EXPECT_TRUE(decoder.Next(&frame).ok());
+    EXPECT_TRUE(DecodeResponse(frame, &response).ok());
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    return response.cursor_id;
+  };
+  const auto next_request = [](uint64_t cursor_id, uint32_t max_entries) {
+    std::vector<uint8_t> request;
+    AppendU64(&request, cursor_id);
+    AppendU32(&request, max_entries);
+    return request;
+  };
+  const auto local_entries = [](SfcTable* table, const Box& box) {
+    auto cursor = table->NewBoxCursor(box);
+    return DrainCursor(cursor.get());
+  };
+
+  // A 2D and a 3D chunk, each asking for more than the cursor holds: one
+  // chunk with every entry, flagged done.
+  const Box flat_box(Cell(2, 2), Cell(6, 5));
+  const Box cube_box(Cell(1, 1, 1), Cell(4, 4, 8));
+  for (const auto& [table, box] :
+       {std::pair{flat.value(), flat_box}, std::pair{cube.value(), cube_box}}) {
+    const std::vector<SpatialEntry> expected = local_entries(table, box);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_LE(expected.size(), options.max_entries_per_chunk);
+    const uint64_t cursor_id =
+        open_cursor(table == flat.value() ? "flat" : "cube", box);
+    round_trip(MessageType::kCursorNext, next_request(cursor_id, 1000),
+               ChunkPayloadFieldByField(expected, kCursorDone));
+  }
+
+  // A chunk capped at max_entries_per_chunk, then the rest.
+  {
+    const Box box(Cell(0, 0), Cell(11, 11));
+    const std::vector<SpatialEntry> expected = local_entries(flat.value(), box);
+    ASSERT_GT(expected.size(), options.max_entries_per_chunk);
+    const uint64_t cursor_id = open_cursor("flat", box);
+    size_t at = 0;
+    while (at < expected.size()) {
+      const size_t n = std::min<size_t>(options.max_entries_per_chunk,
+                                        expected.size() - at);
+      const uint8_t flags = at + n == expected.size() ? kCursorDone : 0;
+      round_trip(MessageType::kCursorNext, next_request(cursor_id, 1000),
+                 ChunkPayloadFieldByField(
+                     {expected.begin() + at, expected.begin() + at + n},
+                     flags));
+      at += n;
+    }
+  }
+
+  // An empty final chunk: a box holding no entries.
+  round_trip(MessageType::kCursorNext,
+             next_request(open_cursor("flat", Box(Cell(40, 40), Cell(50, 50))),
+                          16),
+             ChunkPayloadFieldByField({}, kCursorDone));
+
+  // A kGet response (two payloads at one cell) and a kPing response.
+  {
+    std::vector<uint8_t> request;
+    AppendString(&request, "flat");
+    AppendCell(&request, Cell(3, 4));
+    AppendU64(&request, 0);
+    auto rows = flat.value()->Get(Cell(3, 4));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 2u);
+    std::vector<uint8_t> payload = StatusOnlyPayload(Status::OK());
+    AppendU32(&payload, static_cast<uint32_t>(rows.value().size()));
+    for (const uint64_t row : rows.value()) AppendU64(&payload, row);
+    round_trip(MessageType::kGet, request, payload);
+  }
+  round_trip(MessageType::kPing, {}, StatusOnlyPayload(Status::OK()));
+  // An error response: the status header alone.
+  round_trip(MessageType::kCursorNext, next_request(999999, 4),
+             StatusOnlyPayload(Status::NotFound("unknown cursor id 999999")));
 }
 
 // --- hostile and malformed input over a live connection --------------------

@@ -530,8 +530,8 @@ TEST(SfcDbTest, MetricsPopulateAndStayMonotonicAcrossWorkload) {
 
   // Every headline histogram recorded real events.
   for (const char* name : {"wal.append_us", "wal.fsync_us", "flush.us",
-                           "compaction.us", "cursor.next_us",
-                           "memtable.insert_us", "write.commit_us"}) {
+                           "compaction.us", "memtable.insert_us",
+                           "write.commit_us"}) {
     EXPECT_GT(table.metrics().histogram(name)->count(), 0u) << name;
   }
 
@@ -545,9 +545,8 @@ TEST(SfcDbTest, MetricsPopulateAndStayMonotonicAcrossWorkload) {
   // structurally in obs_test.cc; here we pin the engine wiring).
   const std::string json = db.DumpMetrics();
   for (const char* key : {"\"wal.fsync_us\"", "\"flush.us\"",
-                          "\"compaction.us\"", "\"cursor.next_us\"",
-                          "\"db.batch_commit_us\"", "\"pool\"",
-                          "\"hit_ratio\""}) {
+                          "\"compaction.us\"", "\"db.batch_commit_us\"",
+                          "\"pool\"", "\"hit_ratio\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   const std::string prom = db.DumpMetrics(obs::MetricsFormat::kPrometheus);

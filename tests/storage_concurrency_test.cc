@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "pool_scan.h"
 #include "storage/buffer_pool.h"
 #include "storage/cursor.h"
 #include "storage/segment.h"
@@ -286,10 +287,12 @@ TEST(StorageConcurrencyTest, BufferPoolParallelScans) {
         const Key hi = lo + rng.UniformInclusive(40);
         Key expect = lo;
         bool ok = true;
-        pool.ScanRange(segment, lo, hi, [&](Key key, uint64_t payload) {
-          if (key != expect || payload != key * 3) ok = false;
-          ++expect;
-        });
+        const Status status =
+            PoolScan(&pool, segment, lo, hi, [&](Key key, uint64_t payload) {
+              if (key != expect || payload != key * 3) ok = false;
+              ++expect;
+            });
+        if (!status.ok()) ok = false;
         const Key last = std::min<Key>(hi, 511);
         if (!ok || (lo <= 511 && expect != last + 1)) {
           failed.store(true);

@@ -2,7 +2,8 @@
 // page geometry and the PageOf fence search, scans against a reference
 // over disk-backed segments, LRU eviction across several sources,
 // per-source sequential-vs-seek accounting, fence-only termination (no
-// page I/O past the range), and Drop() of retired sources.
+// page I/O past the range), Drop() of retired sources, and a corrupt page
+// coming back as a Status instead of ending the process.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "pool_scan.h"
 #include "storage/buffer_pool.h"
 #include "storage/mem_source.h"
 #include "storage/segment.h"
@@ -88,7 +90,8 @@ TEST(MemPageSourceTest, EmptySourceScansNothing) {
   EXPECT_EQ(source.PageOf(0), 0u);
   BufferPool pool(2);
   uint64_t visited = 0;
-  pool.ScanRange(source, 0, 100, [&](Key, uint64_t) { ++visited; });
+  ASSERT_TRUE(
+      PoolScan(&pool, source, 0, 100, [&](Key, uint64_t) { ++visited; }).ok());
   EXPECT_EQ(visited, 0u);
   EXPECT_EQ(pool.stats().page_reads, 0u);
   EXPECT_EQ(pool.stats().seeks, 0u);
@@ -97,9 +100,9 @@ TEST(MemPageSourceTest, EmptySourceScansNothing) {
 TEST(MemPageSourceTest, DisjointRangesCountOneSeekEach) {
   const MemPageSource source = MakeMemSource(SequentialKeys(100), 10);
   BufferPool pool(100);
-  pool.ScanRange(source, 0, 9, [](Key, uint64_t) {});    // page 0
-  pool.ScanRange(source, 50, 59, [](Key, uint64_t) {});  // page 5
-  pool.ScanRange(source, 90, 99, [](Key, uint64_t) {});  // page 9
+  ASSERT_TRUE(PoolScan(&pool, source, 0, 9).ok());    // page 0
+  ASSERT_TRUE(PoolScan(&pool, source, 50, 59).ok());  // page 5
+  ASSERT_TRUE(PoolScan(&pool, source, 90, 99).ok());  // page 9
   EXPECT_EQ(pool.stats().page_reads, 3u);
   EXPECT_EQ(pool.stats().seeks, 3u);
   EXPECT_EQ(pool.stats().entries_read, 30u);
@@ -120,8 +123,9 @@ TEST(StoragePoolTest, DiskScanMatchesReference) {
       if (key >= lo && key <= hi) expected.push_back(key);
     }
     std::vector<Key> actual;
-    pool.ScanRange(*segment, lo, hi,
-                   [&](Key key, uint64_t) { actual.push_back(key); });
+    ASSERT_TRUE(PoolScan(&pool, *segment, lo, hi, [&](Key key, uint64_t) {
+                  actual.push_back(key);
+                }).ok());
     ASSERT_EQ(actual, expected) << "[" << lo << ", " << hi << "]";
   }
 }
@@ -130,11 +134,11 @@ TEST(StoragePoolTest, CachesAcrossMultipleSources) {
   auto seg_a = MakeSegment("pool_a.sfc", SequentialKeys(40), 10);
   auto seg_b = MakeSegment("pool_b.sfc", SequentialKeys(40), 10);
   BufferPool pool(16);  // both segments fit
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());
   EXPECT_EQ(pool.stats().page_reads, 8u);
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());
   EXPECT_EQ(pool.stats().page_reads, 8u);  // all hits the second time
   EXPECT_EQ(pool.stats().cache_hits, 8u);
   EXPECT_EQ(pool.resident_pages(), 8u);
@@ -144,12 +148,12 @@ TEST(StoragePoolTest, LruEvictsAcrossSourcesUnderPressure) {
   auto seg_a = MakeSegment("pool_ev_a.sfc", SequentialKeys(40), 10);
   auto seg_b = MakeSegment("pool_ev_b.sfc", SequentialKeys(40), 10);
   BufferPool pool(3);  // 3 of the 8 total pages fit
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());
   EXPECT_EQ(pool.resident_pages(), 3u);
   // A second full sweep misses everywhere again.
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());
   EXPECT_EQ(pool.stats().page_reads, 16u);
   EXPECT_EQ(pool.stats().cache_hits, 0u);
 }
@@ -158,16 +162,17 @@ TEST(StoragePoolTest, SwitchingSourcesCostsASeek) {
   auto seg_a = MakeSegment("pool_seek_a.sfc", SequentialKeys(40), 10);
   auto seg_b = MakeSegment("pool_seek_b.sfc", SequentialKeys(40), 10);
   BufferPool pool(16);
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});  // 4 seq reads: 1 seek
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());  // 4 seq reads: 1 seek
   EXPECT_EQ(pool.stats().seeks, 1u);
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});  // switch: +1 seek
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());  // switch: +1 seek
   EXPECT_EQ(pool.stats().seeks, 2u);
   // Interleaving page-by-page seeks every time: pages alternate sources.
   pool.ResetStats();
   BufferPool cold(16);
+  Status status;
   for (uint64_t page = 0; page < 4; ++page) {
-    cold.Fetch(*seg_a, page);
-    cold.Fetch(*seg_b, page);
+    ASSERT_NE(cold.Fetch(*seg_a, page, &status), nullptr);
+    ASSERT_NE(cold.Fetch(*seg_b, page, &status), nullptr);
   }
   EXPECT_EQ(cold.stats().page_reads, 8u);
   EXPECT_EQ(cold.stats().seeks, 8u);
@@ -178,12 +183,12 @@ TEST(StoragePoolTest, FenceIndexStopsScanWithoutExtraPageIo) {
   // must terminate the scan without fetching page 1.
   auto segment = MakeSegment("pool_fence.sfc", SequentialKeys(100), 10);
   BufferPool pool(16);
-  pool.ScanRange(*segment, 0, 9, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *segment, 0, 9).ok());
   EXPECT_EQ(pool.stats().page_reads, 1u);
   EXPECT_EQ(pool.stats().entries_read, 10u);
   // Range starting past the last key reads nothing at all.
   pool.ResetStats();
-  pool.ScanRange(*segment, 200, 300, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *segment, 200, 300).ok());
   EXPECT_EQ(pool.stats().page_reads, 0u);
   EXPECT_EQ(pool.stats().entries_read, 0u);
 }
@@ -192,13 +197,13 @@ TEST(StoragePoolTest, DropRemovesOnlyThatSource) {
   auto seg_a = MakeSegment("pool_drop_a.sfc", SequentialKeys(40), 10);
   auto seg_b = MakeSegment("pool_drop_b.sfc", SequentialKeys(40), 10);
   BufferPool pool(16);
-  pool.ScanRange(*seg_a, 0, 39, [](Key, uint64_t) {});
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *seg_a, 0, 39).ok());
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());
   EXPECT_EQ(pool.resident_pages(), 8u);
   pool.Drop(seg_a.get());
   EXPECT_EQ(pool.resident_pages(), 4u);
   pool.ResetStats();
-  pool.ScanRange(*seg_b, 0, 39, [](Key, uint64_t) {});  // still cached
+  ASSERT_TRUE(PoolScan(&pool, *seg_b, 0, 39).ok());  // still cached
   EXPECT_EQ(pool.stats().cache_hits, 4u);
   EXPECT_EQ(pool.stats().page_reads, 0u);
 }
@@ -219,10 +224,12 @@ TEST(StoragePoolTest, MemAndDiskSourcesAreInterchangeable) {
     const Key hi = lo + rng.UniformInclusive(120);
     std::vector<Key> from_mem;
     std::vector<Key> from_disk;
-    mem_pool.ScanRange(mem, lo, hi,
-                       [&](Key key, uint64_t) { from_mem.push_back(key); });
-    disk_pool.ScanRange(*disk, lo, hi,
-                        [&](Key key, uint64_t) { from_disk.push_back(key); });
+    ASSERT_TRUE(PoolScan(&mem_pool, mem, lo, hi, [&](Key key, uint64_t) {
+                  from_mem.push_back(key);
+                }).ok());
+    ASSERT_TRUE(PoolScan(&disk_pool, *disk, lo, hi, [&](Key key, uint64_t) {
+                  from_disk.push_back(key);
+                }).ok());
     ASSERT_EQ(from_mem, from_disk);
   }
   // Identical geometry implies identical physical accounting.
@@ -236,7 +243,7 @@ TEST(StoragePoolTest, ReadaheadBatchesASequentialScan) {
   // physical transfers (pages 0-4, then 5-7) instead of eight.
   auto segment = MakeSegment("pool_ra.sfc", SequentialKeys(80), 10);
   BufferPool pool(16, /*readahead_pages=*/4);
-  pool.ScanRange(*segment, 0, 79, [](Key, uint64_t) {});
+  ASSERT_TRUE(PoolScan(&pool, *segment, 0, 79).ok());
   const IoStats stats = pool.stats();
   EXPECT_EQ(stats.page_reads, 8u);
   EXPECT_EQ(stats.readahead_batched_reads, 2u);
@@ -261,10 +268,12 @@ TEST(StoragePoolTest, ReadaheadScanMatchesReference) {
     const Key hi = lo + rng.UniformInclusive(300);
     std::vector<Key> expected;
     std::vector<Key> actual;
-    plain.ScanRange(*segment, lo, hi,
-                    [&](Key key, uint64_t) { expected.push_back(key); });
-    batched.ScanRange(*segment, lo, hi,
-                      [&](Key key, uint64_t) { actual.push_back(key); });
+    ASSERT_TRUE(PoolScan(&plain, *segment, lo, hi, [&](Key key, uint64_t) {
+                  expected.push_back(key);
+                }).ok());
+    ASSERT_TRUE(PoolScan(&batched, *segment, lo, hi, [&](Key key, uint64_t) {
+                  actual.push_back(key);
+                }).ok());
     ASSERT_EQ(actual, expected) << "[" << lo << ", " << hi << "]";
   }
   // Readahead changes how pages arrive, never how many entries do.
@@ -274,9 +283,12 @@ TEST(StoragePoolTest, ReadaheadScanMatchesReference) {
 TEST(StoragePoolTest, ReadaheadStopsAtResidentPages) {
   auto segment = MakeSegment("pool_ra_stop.sfc", SequentialKeys(80), 10);
   BufferPool pool(16, /*readahead_pages=*/4);
-  pool.Fetch(*segment, 4);  // resident: 4..7 (readahead stops at the end)
+  Status status;
+  // Resident: 4..7 (readahead stops at the end).
+  ASSERT_NE(pool.Fetch(*segment, 4, &status), nullptr);
   EXPECT_EQ(pool.stats().page_reads, 4u);
-  pool.Fetch(*segment, 3);  // the run must stop before resident page 4
+  // The run must stop before resident page 4.
+  ASSERT_NE(pool.Fetch(*segment, 3, &status), nullptr);
   EXPECT_EQ(pool.stats().page_reads, 5u);
   EXPECT_EQ(pool.stats().readahead_batched_reads, 1u);
 }
@@ -285,13 +297,15 @@ TEST(StoragePoolTest, ReadaheadCountsWaste) {
   auto segment = MakeSegment("pool_ra_waste.sfc", SequentialKeys(80), 10);
   // Drop of never-touched prefetched pages is counted.
   BufferPool pool(16, /*readahead_pages=*/4);
-  pool.Fetch(*segment, 0);  // prefetches pages 1..4
+  Status status;
+  ASSERT_NE(pool.Fetch(*segment, 0, &status), nullptr);  // prefetches 1..4
   pool.Drop(segment.get());
   EXPECT_EQ(pool.stats().readahead_wasted, 4u);
   // Eviction of never-touched prefetched pages is counted too.
   BufferPool tight(3, /*readahead_pages=*/2);
-  tight.Fetch(*segment, 0);  // resident: 0,1,2 (1 and 2 prefetched)
-  tight.Fetch(*segment, 5);  // resident: 5,6,7 — evicts 0,1,2
+  // Resident: 0,1,2 (1 and 2 prefetched), then 5,6,7, evicting 0,1,2.
+  ASSERT_NE(tight.Fetch(*segment, 0, &status), nullptr);
+  ASSERT_NE(tight.Fetch(*segment, 5, &status), nullptr);
   EXPECT_EQ(tight.stats().readahead_wasted, 2u);
   EXPECT_EQ(tight.evictions(), 3u);
 }
@@ -322,14 +336,62 @@ TEST(StoragePoolTest, ReadaheadNeverPrefetchesZoneExcludedPages) {
   BufferPool pool(16, /*readahead_pages=*/4);
   Status status;
   // The run from page 0 must stop at excluded page 2: pages 0 and 1 only.
-  pool.Fetch(source, 0, nullptr, &status, &box);
+  pool.Fetch(source, 0, &status, nullptr, &box);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(pool.stats().page_reads, 2u);
   EXPECT_EQ(pool.resident_pages(), 2u);
   // Without a box the zone map cannot apply and the full run is read.
   BufferPool unfiltered(16, /*readahead_pages=*/4);
-  unfiltered.Fetch(source, 0, nullptr, &status);
+  unfiltered.Fetch(source, 0, &status);
   EXPECT_EQ(unfiltered.stats().page_reads, 5u);
+}
+
+TEST(StoragePoolTest, CorruptPageComesBackAsCorruption) {
+  // Ten raw pages of 10 entries; flip one byte in the middle of page 2.
+  auto segment = MakeSegment("pool_corrupt.sfc", SequentialKeys(100), 10);
+  const uint64_t page_bytes = segment->PageDiskBytes(2);
+  segment.reset();  // release the file before mutating it
+  const std::string path = ::testing::TempDir() + "/pool_corrupt.sfc";
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  // Raw pages have equal sizes and follow the 96-byte header.
+  const long offset = 96 + 2 * static_cast<long>(page_bytes) + 10;
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(byte ^ 0x04, f);
+  std::fclose(f);
+  auto reopened = SegmentReader::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const SegmentReader& corrupt = *reopened.value();
+
+  // Both read paths: a lone page read, and a readahead run that starts at
+  // the bad page (the batch fails, the demanded page is re-read alone).
+  for (const uint64_t readahead : {0u, 4u}) {
+    BufferPool pool(16, readahead);
+    AtomicIoStats attribution;
+    Status status;
+    EXPECT_EQ(pool.Fetch(corrupt, 2, &status, &attribution), nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    // The process survived, the bad page never became resident, and the
+    // good pages around it still read.
+    EXPECT_EQ(pool.resident_pages(), 0u);
+    EXPECT_NE(pool.Fetch(corrupt, 1, &status), nullptr);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_NE(pool.Fetch(corrupt, 3, &status), nullptr);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    // A second attempt at the bad page fails the same way.
+    EXPECT_EQ(pool.Fetch(corrupt, 2, &status), nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  }
+  // A scan over the bad page stops there with the same error.
+  BufferPool pool(16);
+  std::vector<Key> seen;
+  const Status scan = PoolScan(&pool, corrupt, 0, 99,
+                               [&](Key key, uint64_t) { seen.push_back(key); });
+  EXPECT_EQ(scan.code(), StatusCode::kCorruption);
+  EXPECT_EQ(seen.size(), 20u);  // pages 0 and 1
 }
 
 }  // namespace
