@@ -314,7 +314,9 @@ void SfcServer::HandleFrame(Session* session, const Frame& frame) {
     case MessageType::kOpenIndexCursor:
       ExecOpenIndexCursor(session, frame, out);
       break;
-    case MessageType::kSnapshotAcquire: ExecSnapshotAcquire(session, out); break;
+    case MessageType::kSnapshotAcquire:
+      ExecSnapshotAcquire(session, out);
+      break;
     case MessageType::kSnapshotRelease:
       ExecSnapshotRelease(session, frame, out);
       break;
