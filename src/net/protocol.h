@@ -109,7 +109,8 @@ void AppendBox(std::vector<uint8_t>* out, const Box& box);
 /// request_id and type to `out` and returns where the frame starts; the
 /// caller appends the payload after it; FinishFrame then writes the length
 /// and the CRC32C of the frame that runs from `start` to the end of `out`
-/// over the bytes where they lie. No payload is ever copied.
+/// over the bytes where they lie, so a payload built after BeginFrame is
+/// never copied into its frame.
 size_t BeginFrame(std::vector<uint8_t>* out, uint64_t request_id,
                   uint8_t type);
 void FinishFrame(std::vector<uint8_t>* out, size_t start);
