@@ -124,6 +124,9 @@ void AppendCursorChunk(std::vector<uint8_t>* out, Cursor* cursor,
     out->reserve(out->size() +
                  max_entries * EntryBytes(cursor->entry().cell.dims));
   }
+  // Each entry is written with one resize rather than AppendCell's and
+  // AppendU64's one per field; the bytes are the same (net_test compares
+  // them), and this loop runs once per delivered row.
   uint32_t count = 0;
   for (; cursor->Valid() && count < max_entries; cursor->Next(), ++count) {
     const SpatialEntry& entry = cursor->entry();
