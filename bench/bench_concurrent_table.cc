@@ -7,9 +7,12 @@
 // write baseline — the point being that queries keep streaming while
 // segments are written and merged, instead of stalling behind them.
 //
+// Each run's table is owned by an SfcDb of its own with one worker and a
+// 256-page pool.
+//
 // Part 2 (recovery): writes `--points` entries WITHOUT flushing, drops the
-// table (crash semantics: the destructor does not flush; the WAL is the
-// only copy), then times Open()'s WAL replay and verifies the count.
+// db (crash semantics: the destructor does not flush; the WAL is the only
+// copy), then times OpenTable()'s WAL replay and verifies the count.
 //
 // Part 3 (group commit): `--fsync_threads` committers append to one WAL
 // with a durability barrier per record (the wal_fsync insert pattern:
@@ -33,6 +36,7 @@
 
 #include "common/cli.h"
 #include "sfc/registry.h"
+#include "storage/sfc_db.h"
 #include "storage/sfc_table.h"
 #include "storage/wal.h"
 #include "workloads/generators.h"
@@ -55,6 +59,9 @@ int main(int argc, char** argv) {
   const auto points = RandomPoints(universe, num_points, 11);
   const auto boxes = RandomCubes(universe, query_side, 64, 13);
 
+  storage::SfcDbOptions db_options;
+  db_options.pool_pages = 256;
+  db_options.num_workers = 1;
   storage::SfcTableOptions options;
   options.memtable_flush_entries = flush_entries;
   options.l0_compaction_trigger = 4;
@@ -62,8 +69,13 @@ int main(int argc, char** argv) {
   const auto run_writer_with_readers = [&](int readers, uint64_t* queries) {
     const std::string dir = base_dir + "/run_r" + std::to_string(readers);
     std::filesystem::remove_all(dir);
+    auto db = storage::SfcDb::Open(dir, db_options);
+    if (!db.ok()) {
+      std::printf("open failed: %s\n", db.status().ToString().c_str());
+      std::exit(1);
+    }
     auto table_result =
-        storage::SfcTable::Create(dir, "onion", universe, options);
+        db.value()->CreateTable("points", "onion", universe, options);
     if (!table_result.ok()) {
       std::printf("create failed: %s\n",
                   table_result.status().ToString().c_str());
@@ -125,8 +137,10 @@ int main(int argc, char** argv) {
     // memtable: the WAL ends up the only copy, so Open() replays it all.
     storage::SfcTableOptions wal_only = options;
     wal_only.memtable_flush_entries = points.size() + 1;
+    auto db = storage::SfcDb::Open(dir, db_options);
+    if (!db.ok()) std::exit(1);
     auto table_result =
-        storage::SfcTable::Create(dir, "onion", universe, wal_only);
+        db.value()->CreateTable("points", "onion", universe, wal_only);
     if (!table_result.ok()) std::exit(1);
     auto& table = *table_result.value();
     const auto start = Clock::now();
@@ -141,7 +155,12 @@ int main(int argc, char** argv) {
                 secs, points.size() / secs);
   }  // destructor: NO flush — the WAL is now the only copy of the tail
   const auto start = Clock::now();
-  auto reopened = storage::SfcTable::Open(dir);
+  auto db = storage::SfcDb::Open(dir, db_options);
+  if (!db.ok()) {
+    std::printf("reopen failed: %s\n", db.status().ToString().c_str());
+    return 1;
+  }
+  auto reopened = db.value()->OpenTable("points");
   const double replay_secs =
       std::chrono::duration<double>(Clock::now() - start).count();
   if (!reopened.ok()) {

@@ -67,6 +67,7 @@
 #include "index/disk_model.h"
 #include "obs/metrics.h"
 #include "sfc/registry.h"
+#include "storage/sfc_db.h"
 #include "storage/sfc_table.h"
 #include "workloads/generators.h"
 
@@ -89,16 +90,34 @@ uint64_t TableDiskBytes(storage::SfcTable& table) {
   return total;
 }
 
-std::unique_ptr<storage::SfcTable> BuildTable(
-    const std::string& dir, const std::string& curve_name,
-    const Universe& universe, const storage::SfcTableOptions& options,
-    const std::vector<Cell>& points) {
+/// A bench table and the SfcDb that owns it; dereferences like a pointer
+/// to the table. Every table gets a db of its own, so each keeps a
+/// private pool and its cold pass starts empty.
+struct OwnedTable {
+  std::unique_ptr<storage::SfcDb> db;
+  storage::SfcTable* table = nullptr;
+
+  storage::SfcTable& operator*() const { return *table; }
+  storage::SfcTable* operator->() const { return table; }
+};
+
+OwnedTable BuildTable(const std::string& dir, const std::string& curve_name,
+                      const Universe& universe,
+                      const storage::SfcTableOptions& options,
+                      uint64_t pool_pages, uint64_t readahead_pages,
+                      const std::vector<Cell>& points) {
   std::filesystem::remove_all(dir);
+  storage::SfcDbOptions db_options;
+  db_options.pool_pages = pool_pages;
+  db_options.readahead_pages = readahead_pages;
+  db_options.num_workers = 1;
+  auto db = storage::SfcDb::Open(dir, db_options);
+  ONION_CHECK_MSG(db.ok(), db.status().ToString().c_str());
   auto table_result =
-      storage::SfcTable::Create(dir, curve_name, universe, options);
+      db.value()->CreateTable("points", curve_name, universe, options);
   ONION_CHECK_MSG(table_result.ok(),
                   table_result.status().ToString().c_str());
-  auto table = std::move(table_result).value();
+  storage::SfcTable* table = table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
     const Status status = table->Insert(points[i], i);
     ONION_CHECK_MSG(status.ok(), status.ToString().c_str());
@@ -106,7 +125,7 @@ std::unique_ptr<storage::SfcTable> BuildTable(
   // One sorted run on disk: seeks now mirror the clustering number.
   const Status compacted = table->Compact();
   ONION_CHECK_MSG(compacted.ok(), compacted.ToString().c_str());
-  return table;
+  return OwnedTable{std::move(db).value(), table};
 }
 
 /// Mean wall-clock microseconds of one table->Get over `cells`.
@@ -190,21 +209,19 @@ int main(int argc, char** argv) {
   struct BenchTable {
     std::string curve;
     std::string config;
-    std::unique_ptr<storage::SfcTable> table;
+    OwnedTable table;
   };
   std::vector<BenchTable> tables;
   for (const std::string& name : names) {
     for (const FormatConfig& config : configs) {
       storage::SfcTableOptions options;
       options.entries_per_page = page;
-      options.pool_pages = pool_pages;
-      options.readahead_pages = readahead;
       options.codec = config.codec;
       options.filter_bits_per_key = config.filter_bits_per_key;
       tables.push_back(BenchTable{
           name, config.tag,
           BuildTable(base_dir + "/" + name + "_" + config.tag, name,
-                     universe, options, points)});
+                     universe, options, pool_pages, readahead, points)});
     }
   }
 
@@ -324,14 +341,14 @@ int main(int argc, char** argv) {
       for (const FormatConfig& config : configs) {
         storage::SfcTableOptions options;
         options.entries_per_page = 16;  // realistic multi-entry pages
-        options.pool_pages = pool_pages;
-        // No readahead here: point probes have no spatial run to widen,
-        // and prefetch waste would blur the filter contract below.
         options.codec = config.codec;
         options.filter_bits_per_key = config.filter_bits_per_key;
+        // No readahead here: point probes have no spatial run to widen,
+        // and prefetch waste would blur the filter contract below.
         auto table =
             BuildTable(base_dir + "/get_" + name + "_" + config.tag, name,
-                       universe, options, checker);
+                       universe, options, pool_pages, /*readahead_pages=*/0,
+                       checker);
         table->ResetStats();
         uint64_t gets = 0;
         uint64_t hits = 0;
@@ -398,7 +415,9 @@ int main(int argc, char** argv) {
     storage::SfcTableOptions options;
     const uint64_t full = options.memtable_flush_entries;
     auto table = BuildTable(base_dir + "/memtable_get", "onion", get_universe,
-                            options, RandomPoints(get_universe, 200000, 43));
+                            options, /*pool_pages=*/256,
+                            /*readahead_pages=*/0,
+                            RandomPoints(get_universe, 200000, 43));
     const std::vector<Cell> probes = RandomPoints(get_universe, 4000, 47);
     const std::vector<Cell> unflushed = RandomPoints(get_universe, full, 53);
     const size_t segments = table->SegmentInfos().size();
@@ -411,7 +430,7 @@ int main(int argc, char** argv) {
       ONION_CHECK_MSG(table->pending_memtables() == 0 &&
                           table->SegmentInfos().size() == segments,
                       "memtable phase flushed before its last level");
-      const double get_us = MeanGetUs(table.get(), probes);
+      const double get_us = MeanGetUs(table.table, probes);
       if (level == 0) get_us_empty = get_us;
       if (level == full) get_us_full = get_us;
       std::printf("%12llu %14.2f\n", static_cast<unsigned long long>(level),

@@ -1,8 +1,8 @@
 // Walkthrough of the persistent storage engine: create an SfcTable keyed by
-// a space-filling curve, insert clustered points, flush to segment files,
-// stream a box query through a cursor with measured I/O (including an
-// early-terminated, limit-bounded read), then close and reopen the table
-// to show the results survive on disk.
+// a space-filling curve (through the SfcDb that owns it), insert clustered
+// points, flush to segment files, stream a box query through a cursor with
+// measured I/O (including an early-terminated, limit-bounded read), then
+// close and reopen the database to show the results survive on disk.
 //
 //   build/examples/storage_table_demo [--dir=/tmp/onion_table_demo]
 
@@ -13,6 +13,7 @@
 
 #include "common/cli.h"
 #include "index/disk_model.h"
+#include "storage/sfc_db.h"
 #include "storage/sfc_table.h"
 #include "workloads/generators.h"
 
@@ -23,21 +24,28 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
 
   const Universe universe(2, 128);
+  storage::SfcDbOptions db_options;
+  db_options.pool_pages = 32;
+  db_options.num_workers = 1;
   storage::SfcTableOptions options;
   options.entries_per_page = 64;
-  options.pool_pages = 32;
   options.memtable_flush_entries = 4000;
 
+  auto db = storage::SfcDb::Open(dir, db_options);
+  if (!db.ok()) {
+    std::printf("open failed: %s\n", db.status().ToString().c_str());
+    return 1;
+  }
   auto table_result =
-      storage::SfcTable::Create(dir, "hilbert", universe, options);
+      db.value()->CreateTable("points", "hilbert", universe, options);
   if (!table_result.ok()) {
     std::printf("create failed: %s\n",
                 table_result.status().ToString().c_str());
     return 1;
   }
   auto& table = *table_result.value();
-  std::printf("created table in %s, curve=%s, universe=%s\n", dir.c_str(),
-              table.curve().name().c_str(),
+  std::printf("created table in %s, curve=%s, universe=%s\n",
+              table.dir().c_str(), table.curve().name().c_str(),
               universe.ToString().c_str());
 
   const auto points = ClusteredPoints(universe, 20000, 6, 10, 7);
@@ -100,17 +108,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(table.io_stats().seeks));
 
   // The table's observability dump: WAL append/fsync, memtable insert,
-  // flush and compaction durations, and cursor-step latency histograms,
-  // plus the I/O counters printed piecemeal above — one JSON object
-  // (docs/observability.md documents every metric).
+  // flush and compaction duration histograms, plus the I/O counters
+  // printed piecemeal above — one JSON object (docs/observability.md
+  // documents every metric).
   std::printf("\ntable metrics at shutdown (SfcTable::DumpMetrics):\n%s\n",
               table.DumpMetrics().c_str());
 
   // Clean shutdown (flush + stop background work), then reopen from disk:
-  // nothing lives in memory but the manifest path.
-  ONION_CHECK_MSG(table.Close().ok(), "close failed");
-  table_result.value().reset();
-  auto reopened = storage::SfcTable::Open(dir);
+  // nothing lives in memory but the database path.
+  ONION_CHECK_MSG(db.value()->Close().ok(), "close failed");
+  db.value().reset();
+  auto reopened_db = storage::SfcDb::Open(dir, db_options);
+  ONION_CHECK_MSG(reopened_db.ok(), reopened_db.status().ToString().c_str());
+  auto reopened = reopened_db.value()->OpenTable("points");
   ONION_CHECK_MSG(reopened.ok(), reopened.status().ToString().c_str());
   auto reopened_cursor = reopened.value()->NewBoxCursor(query);
   const auto again = DrainCursor(reopened_cursor.get());

@@ -434,7 +434,7 @@ Result<SfcTable*> SfcDb::CreateTable(const std::string& name,
     return Status::InvalidArgument("table '" + name + "' already exists in " +
                                    dir_);
   }
-  auto table = SfcTable::CreateWithShared(
+  auto table = SfcTable::Create(
       TablePath(name), curve_name, universe, options,
       SfcTable::SharedResources{pool_, workers_.get(), trace_});
   if (!table.ok()) return table.status();
@@ -479,7 +479,7 @@ Result<SfcTable*> SfcDb::OpenTableLocked(const std::string& name,
   if (!std::binary_search(catalog_.begin(), catalog_.end(), name)) {
     return Status::NotFound("no table '" + name + "' in " + dir_);
   }
-  auto table = SfcTable::OpenWithShared(
+  auto table = SfcTable::Open(
       TablePath(name), options,
       SfcTable::SharedResources{pool_, workers_.get(), trace_});
   if (!table.ok()) return table.status();
@@ -515,7 +515,7 @@ Result<SfcTable*> SfcDb::OpenAnyTableLocked(const std::string& name,
   if (!is_index_dir) {
     return Status::NotFound("no table '" + name + "' in " + dir_);
   }
-  auto table = SfcTable::OpenWithShared(
+  auto table = SfcTable::Open(
       TablePath(name), options,
       SfcTable::SharedResources{pool_, workers_.get(), trace_});
   if (!table.ok()) return table.status();
@@ -859,7 +859,7 @@ Result<std::unique_ptr<SfcTable>> SfcDb::BuildIndexTableLocked(
     const std::string& curve_name, const std::string& dir_name) {
   const Universe base_universe = base->curve().universe();
   const Universe index_universe = extractor.index_universe(base_universe);
-  auto table = SfcTable::CreateWithShared(
+  auto table = SfcTable::Create(
       TablePath(dir_name), curve_name, index_universe, options_.table_options,
       SfcTable::SharedResources{pool_, workers_.get(), trace_});
   if (!table.ok()) return table.status();

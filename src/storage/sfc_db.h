@@ -1,5 +1,7 @@
 // SfcDb: a catalog of named SfcTables sharing one buffer pool and one
-// background worker pool — the multi-table face of the storage engine.
+// background worker pool — the multi-table face of the storage engine,
+// and the only owner of an SfcTable: CreateTable/OpenTable are the only
+// ways to make or open one.
 //
 // One process serving many spatial tables should not pay one page cache
 // and one background thread PER table: SfcDb owns a single BufferPool
@@ -113,13 +115,11 @@ class DbSnapshot {
 
 struct SfcDbOptions {
   /// Capacity of the SHARED buffer pool, in pages, arbitrating cache
-  /// memory across all tables (SfcTableOptions::pool_pages is ignored for
-  /// tables served by a db).
+  /// memory across all tables.
   uint64_t pool_pages = 4096;
   /// Readahead budget of the shared pool: maximum EXTRA pages one miss
   /// may pull in with a single batched read (0 = disabled; see
-  /// storage/buffer_pool.h). SfcTableOptions::readahead_pages is likewise
-  /// ignored for tables served by a db.
+  /// storage/buffer_pool.h).
   uint64_t readahead_pages = 0;
   /// Background worker threads shared by all tables' flushes and
   /// compactions (round-robin per-table fairness).

@@ -39,9 +39,6 @@ Status ValidateOptions(const SfcTableOptions& options) {
   if (options.entries_per_page < 1) {
     return Status::InvalidArgument("entries_per_page must be positive");
   }
-  if (options.pool_pages < 1) {
-    return Status::InvalidArgument("pool_pages must be positive");
-  }
   if (options.memtable_flush_entries < 1) {
     return Status::InvalidArgument("memtable_flush_entries must be positive");
   }
@@ -166,7 +163,9 @@ Status ParseManifest(const std::string& text, const std::string& dir,
   return Status::OK();
 }
 
-/// Parses "wal_<id>.log"; returns false for any other name.
+/// Parses "wal_<id>.log"; returns false for any other name. An id that
+/// overflows, or is UINT64_MAX (whose successor would wrap to 0 and reuse
+/// a live WAL id), is not a name the engine writes, so it is not a WAL.
 bool ParseWalFileName(const std::string& name, uint64_t* id) {
   const size_t prefix = sizeof(kWalPrefix) - 1;
   const size_t suffix = sizeof(kWalSuffix) - 1;
@@ -176,9 +175,10 @@ bool ParseWalFileName(const std::string& name, uint64_t* id) {
     return false;
   }
   uint64_t value = 0;
-  for (size_t i = prefix; i < name.size() - suffix; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
+  if (!ParseUnsigned(name.substr(prefix, name.size() - prefix - suffix),
+                     &value) ||
+      value == std::numeric_limits<uint64_t>::max()) {
+    return false;
   }
   *id = value;
   return true;
@@ -193,14 +193,10 @@ SfcTable::SfcTable(std::string dir, std::unique_ptr<SpaceFillingCurve> curve,
       curve_(std::move(curve)),
       curve_name_(curve_->name()),
       options_(options),
-      trace_(shared.trace != nullptr ? shared.trace
-                                     : std::make_shared<obs::TraceRing>()),
+      trace_(shared.trace),
       memtable_(curve_->num_cells()),
       workers_(shared.workers),
-      pool_(shared.pool != nullptr
-                ? shared.pool
-                : std::make_shared<BufferPool>(options.pool_pages,
-                                               options.readahead_pages)) {
+      pool_(shared.pool) {
   // Resolve every hot-path handle once; recording is pointer-only after
   // this. The names are the catalog in docs/observability.md.
   m_.wal_append_us = metrics_->histogram("wal.append_us");
@@ -325,14 +321,6 @@ Status SfcTable::InstallManifest() {
 }
 
 void SfcTable::StartWorker() {
-  if (workers_ == nullptr) {
-    owned_workers_ = std::make_unique<WorkerPool>(1);
-    // A standalone table reports its private pool through its own
-    // registry; a db-owned table's shared pool reports through the db's.
-    owned_workers_->SetMetrics(metrics_->histogram("workers.task_wait_us"),
-                               metrics_->counter("workers.tasks_run"));
-    workers_ = owned_workers_.get();
-  }
   const WorkerPool::ClientId client =
       workers_->Register([this] { return RunBackgroundWork(); });
   // worker_client_ is mu_-guarded: NotifyWorkerLocked and StopWorker read
@@ -351,13 +339,11 @@ void SfcTable::StopWorker() {
   }
   // Unregister blocks until in-flight work completes; it must run without
   // mu_ (the worker's callback takes mu_ itself).
-  if (client != 0 && workers_ != nullptr) workers_->Unregister(client);
+  if (client != 0) workers_->Unregister(client);
 }
 
 void SfcTable::NotifyWorkerLocked() {
-  if (workers_ != nullptr && worker_client_ != 0) {
-    workers_->Notify(worker_client_);
-  }
+  if (worker_client_ != 0) workers_->Notify(worker_client_);
 }
 
 bool SfcTable::RunBackgroundWork() {
@@ -375,18 +361,6 @@ bool SfcTable::RunBackgroundWork() {
 }
 
 Result<std::unique_ptr<SfcTable>> SfcTable::Create(
-    const std::string& dir, const std::string& curve_name,
-    const Universe& universe, const SfcTableOptions& options) {
-  return CreateWithShared(dir, curve_name, universe, options,
-                          SharedResources{});
-}
-
-Result<std::unique_ptr<SfcTable>> SfcTable::Open(
-    const std::string& dir, const SfcTableOptions& options) {
-  return OpenWithShared(dir, options, SharedResources{});
-}
-
-Result<std::unique_ptr<SfcTable>> SfcTable::CreateWithShared(
     const std::string& dir, const std::string& curve_name,
     const Universe& universe, const SfcTableOptions& options,
     const SharedResources& shared) {
@@ -422,7 +396,7 @@ Result<std::unique_ptr<SfcTable>> SfcTable::CreateWithShared(
   return table;
 }
 
-Result<std::unique_ptr<SfcTable>> SfcTable::OpenWithShared(
+Result<std::unique_ptr<SfcTable>> SfcTable::Open(
     const std::string& dir, const SfcTableOptions& options,
     const SharedResources& shared) {
   const Status valid = ValidateOptions(options);

@@ -41,11 +41,14 @@
 // cell; tombstones are garbage-collected by bottom-level compaction once
 // no snapshot predates them.
 //
-// Concurrency: background flushing and compaction run on a WorkerPool
-// (storage/worker_pool.h) — a private single-thread pool for a standalone
-// table, or the owning SfcDb's shared pool (storage/sfc_db.h), which also
-// supplies a shared BufferPool; per-table I/O attribution survives the
-// sharing via AtomicIoStats. A shared_mutex guards the table's in-memory
+// Ownership: a table is owned only through an SfcDb (storage/sfc_db.h) —
+// SfcDb::CreateTable/OpenTable make and open it, and the db lends it its
+// BufferPool, WorkerPool and trace ring.
+//
+// Concurrency: background flushing and compaction run on the owning
+// SfcDb's WorkerPool (storage/worker_pool.h), and pages come through the
+// db's shared BufferPool; per-table I/O attribution survives the sharing
+// via AtomicIoStats. A shared_mutex guards the table's in-memory
 // state — writers and state changes take it exclusively, queries take it
 // only long enough to scan the (immutable while shared-locked) memtables
 // and snapshot the segment list; segment I/O then proceeds WITHOUT the
@@ -115,15 +118,6 @@ struct SfcTableOptions {
   /// filter blocks (zone maps are always written — they cost 8 bytes per
   /// page per dimension). Recorded in the MANIFEST like `codec`.
   uint32_t filter_bits_per_key = 10;
-  /// Capacity of the table's private buffer pool, in pages. Ignored when
-  /// the table is served by an SfcDb, whose shared pool is sized by
-  /// SfcDbOptions::pool_pages instead.
-  uint64_t pool_pages = 256;
-  /// Maximum EXTRA pages a buffer-pool miss may pull in with one batched
-  /// read beyond the demanded page (storage/buffer_pool.h). 0 disables
-  /// readahead — the historical one-page-per-miss behavior. Ignored (like
-  /// pool_pages) when the table is served by an SfcDb's shared pool.
-  uint64_t readahead_pages = 0;
   /// Inserts accumulate in the memtable until it reaches this size, then
   /// rotate to the background flush queue automatically.
   uint64_t memtable_flush_entries = 64 * 1024;
@@ -177,17 +171,6 @@ struct SegmentInfo {
 
 class SfcTable {
  public:
-  /// Creates a new table directory (made if absent; must not already hold a
-  /// table) keyed by the named curve (sfc/registry.h) over `universe`.
-  static Result<std::unique_ptr<SfcTable>> Create(
-      const std::string& dir, const std::string& curve_name,
-      const Universe& universe, const SfcTableOptions& options = {});
-
-  /// Opens an existing table directory from its MANIFEST and replays any
-  /// live WAL files into the memtable (crash recovery).
-  static Result<std::unique_ptr<SfcTable>> Open(
-      const std::string& dir, const SfcTableOptions& options = {});
-
   /// Stops background processing WITHOUT flushing: buffered entries stay
   /// recoverable from the WAL, exactly as after a crash. This is the
   /// deliberate "crash semantics" path — call Close() first when you want
@@ -287,9 +270,6 @@ class SfcTable {
   /// docs/observability.md). Safe to call concurrently with everything.
   std::string DumpMetrics(
       obs::MetricsFormat format = obs::MetricsFormat::kJson) const;
-  /// The retained trace events (flush/compaction completions) as a JSON
-  /// array — see obs/trace.h.
-  std::string DumpTrace() const { return trace_->ToJson(); }
   /// The table's metric registry (tests and the owning SfcDb's exporter;
   /// hot paths use handles resolved at construction instead).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
@@ -304,23 +284,26 @@ class SfcTable {
   }
 
  private:
-  friend class SfcDb;  // uses the *WithShared factories below
+  friend class SfcDb;  // the only owner: calls Create/Open below
 
-  /// Resources provided by an owning SfcDb; default-constructed means the
-  /// table provisions its own (private pool, private 1-thread worker).
+  /// What the owning SfcDb lends every table it serves; none may be null.
   struct SharedResources {
     std::shared_ptr<BufferPool> pool;
     WorkerPool* workers = nullptr;
-    /// Shared trace ring (the db's, so flush/compaction/commit events of
-    /// all tables interleave in one timeline); null means private.
+    /// The db's trace ring, so flush/compaction/commit events of all
+    /// tables interleave in one timeline.
     std::shared_ptr<obs::TraceRing> trace;
   };
 
-  static Result<std::unique_ptr<SfcTable>> CreateWithShared(
+  /// Creates a new table directory (made if absent; must not already hold
+  /// a table) keyed by the named curve (sfc/registry.h) over `universe`.
+  static Result<std::unique_ptr<SfcTable>> Create(
       const std::string& dir, const std::string& curve_name,
       const Universe& universe, const SfcTableOptions& options,
       const SharedResources& shared);
-  static Result<std::unique_ptr<SfcTable>> OpenWithShared(
+  /// Opens an existing table directory from its MANIFEST and replays any
+  /// live WAL files into the memtable (crash recovery).
+  static Result<std::unique_ptr<SfcTable>> Open(
       const std::string& dir, const SfcTableOptions& options,
       const SharedResources& shared);
 
@@ -461,7 +444,7 @@ class SfcTable {
   // recording into the handles never outlive them.
   const std::shared_ptr<obs::MetricsRegistry> metrics_ =
       std::make_shared<obs::MetricsRegistry>();
-  std::shared_ptr<obs::TraceRing> trace_;
+  const std::shared_ptr<obs::TraceRing> trace_;
   struct MetricHandles {
     obs::Histogram* wal_append_us = nullptr;
     obs::Histogram* wal_fsync_us = nullptr;
@@ -541,17 +524,14 @@ class SfcTable {
   // always acquired while mu_ is NOT held (see InstallManifest).
   Mutex manifest_mu_ ONION_ACQUIRED_BEFORE(mu_);
 
-  // Background execution: either the private pool below or an SfcDb's.
-  // Both pointers are set once by StartWorker (during Create/Open, before
-  // the table is visible to any other thread) and are immutable after —
-  // StopWorker and the destructor read them without a lock by design.
-  std::unique_ptr<WorkerPool> owned_workers_;
-  WorkerPool* workers_ = nullptr;
+  // Background execution on the owning SfcDb's worker pool, which
+  // outlives the table.
+  WorkerPool* const workers_;
   WorkerPool::ClientId worker_client_ ONION_GUARDED_BY(mu_) = 0;
 
-  // Page cache: private, or shared across an SfcDb's tables. Per-table
-  // I/O attribution flows into io_stats_ on every pool call.
-  std::shared_ptr<BufferPool> pool_;
+  // Page cache shared across the SfcDb's tables. Per-table I/O
+  // attribution flows into io_stats_ on every pool call.
+  const std::shared_ptr<BufferPool> pool_;
   mutable AtomicIoStats io_stats_;
 
   // The live TableReadStats counters. Every cursor and Get bumps them, so

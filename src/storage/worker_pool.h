@@ -5,9 +5,8 @@
 // work (one memtable flush or one compaction round) and returns whether
 // more work remains. Workers pick armed clients round-robin, so a table
 // with a deep backlog cannot starve its neighbors: each pass over the ring
-// gives every armed table at most one unit. A standalone SfcTable owns a
-// private single-thread pool, so the table code has exactly one
-// background-execution path.
+// gives every armed table at most one unit. Every table is owned by an
+// SfcDb, so this pool is the table code's only background-execution path.
 //
 // Guarantees:
 //   * at most one worker runs a given client's callback at a time (table

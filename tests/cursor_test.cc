@@ -18,6 +18,7 @@
 #include "sfc/registry.h"
 #include "storage/sfc_db.h"
 #include "storage/sfc_table.h"
+#include "table_db.h"
 #include "workloads/generators.h"
 
 namespace onion::storage {
@@ -45,11 +46,10 @@ TEST(CursorTest, BoxCursorMatchesBruteForceOnMixedState) {
   for (const std::string name : {"onion", "hilbert", "zorder"}) {
     SfcTableOptions options;
     options.entries_per_page = 32;
-    options.pool_pages = 16;
     options.memtable_flush_entries = 400;
     options.l0_compaction_trigger = 3;
-    auto table_result =
-        SfcTable::Create(FreshDir("mixed_" + name), name, universe, options);
+    auto table_result = CreateTableDb(FreshDir("mixed_" + name), name,
+                                      universe, options, /*pool_pages=*/16);
     ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
     auto& table = *table_result.value();
     for (size_t i = 0; i < points.size(); ++i) {
@@ -85,7 +85,7 @@ TEST(CursorTest, BoxAndScanCursorsMatchBruteForce) {
   SfcTableOptions options;
   options.memtable_flush_entries = 500;
   auto table_result =
-      SfcTable::Create(FreshDir("brute_force"), "hilbert", universe, options);
+      CreateTableDb(FreshDir("brute_force"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -110,8 +110,8 @@ TEST(CursorTest, BoxAndScanCursorsMatchBruteForce) {
 
 TEST(CursorTest, GetReturnsEveryPayloadAtTheCell) {
   const Universe universe(2, 32);
-  auto table_result = SfcTable::Create(FreshDir("get"), "onion", universe,
-                                       SfcTableOptions{});
+  auto table_result = CreateTableDb(FreshDir("get"), "onion", universe,
+                                    SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   const Cell cell(7, 9);
@@ -132,8 +132,8 @@ TEST(CursorTest, GetReturnsEveryPayloadAtTheCell) {
 
 TEST(CursorTest, InvalidBoxYieldsErrorCursorNotEmptyResult) {
   const Universe universe(2, 32);
-  auto table_result = SfcTable::Create(FreshDir("bad_box"), "hilbert",
-                                       universe, SfcTableOptions{});
+  auto table_result = CreateTableDb(FreshDir("bad_box"), "hilbert",
+                                    universe, SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   const Box outside(Cell(0, 0), Cell(40, 40));
   auto cursor = table_result.value()->NewBoxCursor(outside);
@@ -146,10 +146,10 @@ TEST(CursorTest, LimitStopsEarlyAndReadsFewerPages) {
   const auto points = RandomPoints(universe, 6000, 233);
   SfcTableOptions options;
   options.entries_per_page = 16;  // many pages per query
-  options.pool_pages = 4;         // tiny pool: fetches really happen
   options.memtable_flush_entries = 1000;
-  auto table_result =
-      SfcTable::Create(FreshDir("limit"), "hilbert", universe, options);
+  // Tiny pool: fetches really happen.
+  auto table_result = CreateTableDb(FreshDir("limit"), "hilbert",
+                                    universe, options, /*pool_pages=*/4);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -183,10 +183,9 @@ TEST(CursorTest, MaxPagesBudgetBoundsFetches) {
   const auto points = RandomPoints(universe, 4000, 239);
   SfcTableOptions options;
   options.entries_per_page = 16;
-  options.pool_pages = 4;
   options.memtable_flush_entries = 1000;
-  auto table_result =
-      SfcTable::Create(FreshDir("max_pages"), "zorder", universe, options);
+  auto table_result = CreateTableDb(FreshDir("max_pages"), "zorder",
+                                    universe, options, /*pool_pages=*/4);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -321,8 +320,8 @@ TEST(CursorTest, HitReadBudgetDistinguishesTruncationFromExhaustion) {
   // The flag must mean "stopped early", never "delivered exactly limit":
   // limit == result count reads as clean exhaustion.
   const Universe universe(2, 32);
-  auto table_result = SfcTable::Create(FreshDir("budget_flag"), "hilbert",
-                                       universe, SfcTableOptions{});
+  auto table_result = CreateTableDb(FreshDir("budget_flag"), "hilbert",
+                                    universe, SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   const Box box(Cell(0, 0), Cell(7, 7));
@@ -357,11 +356,11 @@ TEST(CursorTest, MaxBytesBudgetCountsOnDiskBytes) {
   const auto points = RandomPoints(universe, 6000, 271);
   SfcTableOptions options;
   options.entries_per_page = 64;
-  options.pool_pages = 4;  // cold pool: every page is a real fetch
   options.memtable_flush_entries = 2000;
   options.codec = PageCodec::kDeltaVarint;
-  auto table_result =
-      SfcTable::Create(FreshDir("disk_bytes"), "hilbert", universe, options);
+  // Cold pool: every page is a real fetch.
+  auto table_result = CreateTableDb(FreshDir("disk_bytes"), "hilbert",
+                                    universe, options, /*pool_pages=*/4);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -412,7 +411,7 @@ TEST(CursorTest, BloomFilterSkipsAbsentPointLookups) {
   options.codec = PageCodec::kDeltaVarint;
   options.filter_bits_per_key = 10;
   auto table_result =
-      SfcTable::Create(FreshDir("bloom_get"), "zorder", universe, options);
+      CreateTableDb(FreshDir("bloom_get"), "zorder", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   uint64_t payload = 0;
@@ -470,7 +469,7 @@ TEST(CursorTest, ZoneMapsSkipPagesOutsideTheQueryBox) {
   // would prune everything and the zone maps would have nothing to do.
   options.entries_per_page = 48;
   auto table_result =
-      SfcTable::Create(FreshDir("zone_skip"), "zorder", universe, options);
+      CreateTableDb(FreshDir("zone_skip"), "zorder", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   std::vector<Cell> points;
@@ -511,11 +510,10 @@ TEST(CursorTest, CursorOutlivesCompaction) {
   const auto points = RandomPoints(universe, 4000, 241);
   SfcTableOptions options;
   options.entries_per_page = 32;
-  options.pool_pages = 8;
   options.memtable_flush_entries = 500;
   options.l0_compaction_trigger = 100;  // stay fragmented until Compact()
-  auto table_result =
-      SfcTable::Create(FreshDir("outlive"), "onion", universe, options);
+  auto table_result = CreateTableDb(FreshDir("outlive"), "onion",
+                                    universe, options, /*pool_pages=*/8);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -552,8 +550,8 @@ TEST(CursorTest, RepeatableReadsOnOneSnapshotUnderChurn) {
   SfcTableOptions options;
   options.memtable_flush_entries = 400;
   options.l0_compaction_trigger = 3;
-  auto table_result = SfcTable::Create(FreshDir("repeatable"), "hilbert",
-                                       universe, options);
+  auto table_result = CreateTableDb(FreshDir("repeatable"), "hilbert",
+                                    universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -633,7 +631,7 @@ TEST(CursorTest, SnapshotIgnoresConcurrentInserts) {
   options.memtable_flush_entries = 300;
   options.l0_compaction_trigger = 3;
   auto table_result =
-      SfcTable::Create(FreshDir("snapshot"), "hilbert", universe, options);
+      CreateTableDb(FreshDir("snapshot"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {

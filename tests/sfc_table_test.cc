@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +23,7 @@
 #include "sfc/registry.h"
 #include "storage/codec.h"
 #include "storage/sfc_table.h"
+#include "table_db.h"
 #include "workloads/generators.h"
 
 namespace onion::storage {
@@ -64,10 +66,9 @@ TEST(SfcTableTest, QueryMatchesBruteForceEveryCurve) {
     const auto rects = RandomCornerBoxes(universe, 25, 41);
     SfcTableOptions options;
     options.entries_per_page = 32;
-    options.pool_pages = 16;
     options.memtable_flush_entries = 1000;  // forces several segments
-    auto table_result =
-        SfcTable::Create(FreshDir("equiv_" + label), name, universe, options);
+    auto table_result = CreateTableDb(FreshDir("equiv_" + label), name,
+                                      universe, options, /*pool_pages=*/16);
     ASSERT_TRUE(table_result.ok())
         << label << ": " << table_result.status().ToString();
     auto& table = *table_result.value();
@@ -104,8 +105,8 @@ TEST(SfcTableTest, RangesPerBoxQueryEqualClusteringNumber) {
   for (const auto& [name, universe] : EveryCurveIn2DAnd3D()) {
     const std::string label =
         name + "_" + std::to_string(universe.dims()) + "d";
-    auto table_result = SfcTable::Create(FreshDir("clusters_" + label), name,
-                                         universe, SfcTableOptions{});
+    auto table_result = CreateTableDb(FreshDir("clusters_" + label), name,
+                                      universe, SfcTableOptions{});
     ASSERT_TRUE(table_result.ok())
         << label << ": " << table_result.status().ToString();
     auto& table = *table_result.value();
@@ -147,7 +148,7 @@ TEST(SfcTableTest, SurvivesCloseAndReopen) {
   {
     SfcTableOptions options;
     options.memtable_flush_entries = 700;
-    auto table_result = SfcTable::Create(dir, "hilbert", universe, options);
+    auto table_result = CreateTableDb(dir, "hilbert", universe, options);
     ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
     auto& table = *table_result.value();
     for (size_t i = 0; i < points.size(); ++i) {
@@ -159,7 +160,7 @@ TEST(SfcTableTest, SurvivesCloseAndReopen) {
     ASSERT_TRUE(table.Close().ok());
   }  // table destroyed: only the files remain
 
-  auto reopened_result = SfcTable::Open(dir);
+  auto reopened_result = OpenTableDb(dir);
   ASSERT_TRUE(reopened_result.ok()) << reopened_result.status().ToString();
   auto& reopened = *reopened_result.value();
   EXPECT_EQ(reopened.curve().name(), "hilbert");
@@ -178,10 +179,10 @@ TEST(SfcTableTest, CompactionPreservesResultsAndReducesSeeks) {
   const auto queries = RandomCubes(universe, 20, 40, 67);
   SfcTableOptions options;
   options.entries_per_page = 64;
-  options.pool_pages = 8;  // small pool: queries really hit the files
   options.memtable_flush_entries = 600;
-  auto table_result =
-      SfcTable::Create(FreshDir("compact"), "onion", universe, options);
+  // Small pool: queries really hit the files.
+  auto table_result = CreateTableDb(FreshDir("compact"), "onion", universe,
+                                    options, /*pool_pages=*/8);
   ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -212,8 +213,8 @@ TEST(SfcTableTest, CompactionPreservesResultsAndReducesSeeks) {
 
 TEST(SfcTableTest, UnflushedMemtableEntriesAreVisible) {
   const Universe universe(2, 32);
-  auto table_result = SfcTable::Create(FreshDir("memtable"), "zorder",
-                                       universe, SfcTableOptions{});
+  auto table_result = CreateTableDb(FreshDir("memtable"), "zorder",
+                                    universe, SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   ASSERT_TRUE(table.Insert(Cell(3, 4), 7).ok());
@@ -238,7 +239,7 @@ TEST(SfcTableTest, GetMatchesModelAsTheMemtableFills) {
   SfcTableOptions options;
   options.memtable_flush_entries = 16384;  // ~4 sealed blocks per shard
   auto table_result =
-      SfcTable::Create(FreshDir("get_model"), "onion", universe, options);
+      CreateTableDb(FreshDir("get_model"), "onion", universe, options);
   ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
   auto& table = *table_result.value();
 
@@ -305,8 +306,8 @@ TEST(SfcTableTest, GetMatchesModelAsTheMemtableFills) {
 
 TEST(SfcTableTest, InsertOutsideUniverseFails) {
   const Universe universe(2, 32);
-  auto table_result = SfcTable::Create(FreshDir("outside"), "hilbert",
-                                       universe, SfcTableOptions{});
+  auto table_result = CreateTableDb(FreshDir("outside"), "hilbert",
+                                    universe, SfcTableOptions{});
   ASSERT_TRUE(table_result.ok());
   const Status status = table_result.value()->Insert(Cell(32, 0), 1);
   EXPECT_FALSE(status.ok());
@@ -316,14 +317,14 @@ TEST(SfcTableTest, InsertOutsideUniverseFails) {
 TEST(SfcTableTest, CreateRefusesExistingTable) {
   const Universe universe(2, 32);
   const std::string dir = FreshDir("exists");
-  ASSERT_TRUE(SfcTable::Create(dir, "onion", universe).ok());
-  auto second = SfcTable::Create(dir, "onion", universe);
+  ASSERT_TRUE(CreateTableDb(dir, "onion", universe).ok());
+  auto second = CreateTableDb(dir, "onion", universe);
   EXPECT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SfcTableTest, OpenMissingDirectoryFails) {
-  auto result = SfcTable::Open(FreshDir("never_created"));
+  auto result = OpenTableDb(FreshDir("never_created"));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -336,7 +337,7 @@ TEST(SfcTableTest, CrashBeforeFlushRecoversFromWal) {
   const auto points = RandomPoints(universe, 1000, 71);
   const std::string dir = FreshDir("wal_recovery");
   {
-    auto table = SfcTable::Create(dir, "hilbert", universe);
+    auto table = CreateTableDb(dir, "hilbert", universe);
     ASSERT_TRUE(table.ok());
     for (size_t i = 0; i < points.size(); ++i) {
       ASSERT_TRUE(table.value()->Insert(points[i], i).ok());
@@ -344,7 +345,7 @@ TEST(SfcTableTest, CrashBeforeFlushRecoversFromWal) {
     EXPECT_EQ(table.value()->num_segments(), 0u);  // nothing flushed
   }  // "crash": no Close(), no Flush()
 
-  auto reopened = SfcTable::Open(dir);
+  auto reopened = OpenTableDb(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->size(), points.size());
   EXPECT_EQ(reopened.value()->memtable_entries(), points.size());
@@ -363,7 +364,7 @@ TEST(SfcTableTest, HardProcessExitRecoversFromWal) {
   const std::string dir = FreshDir("wal_hard_crash");
   ASSERT_EXIT(
       {
-        auto table = SfcTable::Create(dir, "zorder", universe);
+        auto table = CreateTableDb(dir, "zorder", universe);
         if (!table.ok()) std::_Exit(1);
         for (uint64_t i = 0; i < 200; ++i) {
           const Cell cell(i % 32, (i / 32) % 32);
@@ -373,7 +374,7 @@ TEST(SfcTableTest, HardProcessExitRecoversFromWal) {
       },
       ::testing::ExitedWithCode(0), "");
 
-  auto reopened = SfcTable::Open(dir);
+  auto reopened = OpenTableDb(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->size(), 200u);
   const auto results =
@@ -388,20 +389,20 @@ TEST(SfcTableTest, RecoveredEntriesAreNotDuplicatedAfterFlush) {
   const Universe universe(2, 32);
   const std::string dir = FreshDir("wal_floor");
   {
-    auto table = SfcTable::Create(dir, "onion", universe);
+    auto table = CreateTableDb(dir, "onion", universe);
     ASSERT_TRUE(table.ok());
     for (uint64_t i = 0; i < 50; ++i) {
       ASSERT_TRUE(table.value()->Insert(Cell(i % 32, i / 32), i).ok());
     }
   }  // crash #1
   {
-    auto table = SfcTable::Open(dir);
+    auto table = OpenTableDb(dir);
     ASSERT_TRUE(table.ok());
     EXPECT_EQ(table.value()->size(), 50u);
     ASSERT_TRUE(table.value()->Flush().ok());
     EXPECT_EQ(table.value()->memtable_entries(), 0u);
   }  // crash #2 (nothing unflushed)
-  auto table = SfcTable::Open(dir);
+  auto table = OpenTableDb(dir);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table.value()->size(), 50u);  // not 100
   EXPECT_EQ(table.value()->memtable_entries(), 0u);
@@ -441,17 +442,17 @@ TEST(SfcTableTest, NewestWalOfAnotherVersionFailsOpenButTornHeaderIsSkipped) {
   const Universe universe(2, 32);
   const std::string dir = FreshDir("wal_newest_version");
   {
-    auto table = SfcTable::Create(dir, "onion", universe);
+    auto table = CreateTableDb(dir, "onion", universe);
     ASSERT_TRUE(table.ok());
     for (uint64_t i = 0; i < 40; ++i) {
       ASSERT_TRUE(table.value()->Insert(Cell(i % 32, i / 32), i).ok());
     }
   }  // crash: no Close(), no Flush()
-  const std::string logged = NewestWalPath(dir);
+  const std::string logged = NewestWalPath(TableDbDir(dir));
   ASSERT_FALSE(logged.empty());
   StampWalVersion(logged, 99);
   {
-    auto opened = SfcTable::Open(dir);
+    auto opened = OpenTableDb(dir);
     ASSERT_FALSE(opened.ok()) << "a version-99 WAL must not be skipped";
     EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(opened.status().ToString().find("unsupported WAL version 99"),
@@ -462,19 +463,89 @@ TEST(SfcTableTest, NewestWalOfAnotherVersionFailsOpenButTornHeaderIsSkipped) {
   // WAL; crash again so it stays behind as the newest file.
   StampWalVersion(logged, 2);
   {
-    auto table = SfcTable::Open(dir);
+    auto table = OpenTableDb(dir);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     EXPECT_EQ(table.value()->size(), 40u);
   }
-  const std::string fresh = NewestWalPath(dir);
+  const std::string fresh = NewestWalPath(TableDbDir(dir));
   ASSERT_NE(fresh, logged);
   // Tear the newest WAL inside its 16-byte header: a crash during its
   // creation. Open skips it and still recovers every record.
   std::filesystem::resize_file(fresh, 5);
-  auto table = SfcTable::Open(dir);
+  auto table = OpenTableDb(dir);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table.value()->size(), 40u);
   EXPECT_EQ(table.value()->memtable_entries(), 40u);
+}
+
+/// Writes a file named `name` into `dir` that is not a WAL the engine
+/// wrote: a stray file whose name merely looks like one.
+void PlantStrayFile(const std::string& dir, const std::string& name) {
+  std::ofstream(dir + "/" + name, std::ios::binary) << "not a wal";
+}
+
+std::string ReadManifest(const std::string& dir) {
+  std::ifstream in(dir + "/MANIFEST");
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(SfcTableTest, WalNameWhoseIdOverflowsIsNotAWal) {
+  // 2^64 + 1 wraps to id 1 if parsed without an overflow check; under
+  // wal_floor 3 that would read as a fenced WAL and be deleted, although
+  // the engine never wrote it.
+  const Universe universe(2, 32);
+  const std::string dir = FreshDir("wal_name_overflow");
+  {
+    auto table = CreateTableDb(dir, "onion", universe);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    for (uint64_t i = 0; i < 3; ++i) {  // each flush raises the floor
+      ASSERT_TRUE(table.value()->Insert(Cell(i, i), i).ok());
+      ASSERT_TRUE(table.value()->Flush().ok());
+    }
+    ASSERT_TRUE(table.value()->Close().ok());
+  }
+  ASSERT_NE(ReadManifest(TableDbDir(dir)).find("\nwal_floor 3\n"),
+            std::string::npos);
+  const std::string stray = "wal_18446744073709551617.log";
+  PlantStrayFile(TableDbDir(dir), stray);
+  auto table = OpenTableDb(dir);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table.value()->size(), 3u);
+  EXPECT_TRUE(std::filesystem::exists(TableDbDir(dir) + "/" + stray));
+}
+
+TEST(SfcTableTest, WalNameWithTheLargestIdDoesNotTruncateTheLiveWal) {
+  // Id UINT64_MAX would sort newest (its bad header then skipped as a torn
+  // newest WAL) and its successor would wrap to 0, so Open would reuse
+  // the floor's id for the new WAL and truncate the live one. Acknowledged
+  // entries must survive two crashes with such a file present.
+  const Universe universe(2, 32);
+  const std::string dir = FreshDir("wal_name_max");
+  {
+    auto table = CreateTableDb(dir, "onion", universe);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    for (uint64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(table.value()->Insert(Cell(i, 0), i).ok());
+    }
+    ASSERT_TRUE(table.value()->Flush().ok());  // wal_floor 1
+    for (uint64_t i = 10; i < 20; ++i) {       // live in wal_1.log
+      ASSERT_TRUE(table.value()->Insert(Cell(i, 0), i).ok());
+    }
+  }  // crash #1
+  const std::string stray = "wal_18446744073709551615.log";
+  PlantStrayFile(TableDbDir(dir), stray);
+  {
+    auto table = OpenTableDb(dir);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(table.value()->size(), 20u);
+  }  // crash #2
+  auto table = OpenTableDb(dir);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table.value()->size(), 20u);
+  const auto results =
+      CursorQuery(*table.value(), Box(Cell(0, 0), Cell(31, 31)));
+  EXPECT_EQ(results.size(), 20u);
+  EXPECT_TRUE(std::filesystem::exists(TableDbDir(dir) + "/" + stray));
 }
 
 TEST(SfcTableTest, LeveledCompactionKeepsLevelsDisjoint) {
@@ -489,7 +560,7 @@ TEST(SfcTableTest, LeveledCompactionKeepsLevelsDisjoint) {
   options.l0_compaction_trigger = 3;
   options.level_growth_factor = 4;
   auto table_result =
-      SfcTable::Create(FreshDir("leveled"), "hilbert", universe, options);
+      CreateTableDb(FreshDir("leveled"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -537,7 +608,7 @@ TEST(SfcTableTest, CloseQuiescesStopsWritesAndIsIdempotent) {
   SfcTableOptions options;
   options.memtable_flush_entries = 300;
   auto table_result =
-      SfcTable::Create(FreshDir("close"), "hilbert", universe, options);
+      CreateTableDb(FreshDir("close"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -565,17 +636,14 @@ TEST(SfcTableTest, OptionValidationRejectsBadValues) {
   const auto expect_invalid = [&](const SfcTableOptions& options,
                                   const std::string& label) {
     auto created =
-        SfcTable::Create(FreshDir("bad_options_" + label), "onion", universe,
-                         options);
+        CreateTableDb(FreshDir("bad_options_" + label), "onion", universe,
+                      options);
     EXPECT_FALSE(created.ok()) << label;
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << label;
   };
   SfcTableOptions options;
   options.entries_per_page = 0;
   expect_invalid(options, "entries_per_page");
-  options = SfcTableOptions{};
-  options.pool_pages = 0;
-  expect_invalid(options, "pool_pages");
   options = SfcTableOptions{};
   options.memtable_flush_entries = 0;
   expect_invalid(options, "memtable_flush_entries");
@@ -597,10 +665,10 @@ TEST(SfcTableTest, OptionValidationRejectsBadValues) {
 
   // Open validates too: create a good table, then reopen with bad options.
   const std::string dir = FreshDir("bad_options_open");
-  ASSERT_TRUE(SfcTable::Create(dir, "onion", universe).ok());
+  ASSERT_TRUE(CreateTableDb(dir, "onion", universe).ok());
   SfcTableOptions bad;
   bad.level_growth_factor = 0;
-  auto reopened = SfcTable::Open(dir, bad);
+  auto reopened = OpenTableDb(dir, bad);
   EXPECT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
 }
@@ -609,18 +677,18 @@ TEST(SfcTableTest, ReopenedTableAcceptsMoreInserts) {
   const Universe universe(2, 32);
   const std::string dir = FreshDir("append");
   {
-    auto table = SfcTable::Create(dir, "onion", universe);
+    auto table = CreateTableDb(dir, "onion", universe);
     ASSERT_TRUE(table.ok());
     ASSERT_TRUE(table.value()->Insert(Cell(1, 1), 1).ok());
     ASSERT_TRUE(table.value()->Close().ok());
   }
   {
-    auto table = SfcTable::Open(dir);
+    auto table = OpenTableDb(dir);
     ASSERT_TRUE(table.ok());
     ASSERT_TRUE(table.value()->Insert(Cell(2, 2), 2).ok());
     ASSERT_TRUE(table.value()->Close().ok());
   }
-  auto table = SfcTable::Open(dir);
+  auto table = OpenTableDb(dir);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table.value()->size(), 2u);
   const auto results =
@@ -643,18 +711,17 @@ TEST(SfcTableTest, QueryResultsIdenticalAcrossCodecs) {
                             {PageCodec::kRaw, 10, "raw10"},
                             {PageCodec::kDeltaVarint, 0, "delta0"},
                             {PageCodec::kDeltaVarint, 10, "delta10"}};
-  std::vector<std::unique_ptr<SfcTable>> tables;
+  std::vector<TableDb> tables;
   for (const Config& config : configs) {
     SfcTableOptions options;
     options.entries_per_page = 32;
-    options.pool_pages = 16;
     options.memtable_flush_entries = 700;
     options.l0_compaction_trigger = 3;
     options.codec = config.codec;
     options.filter_bits_per_key = config.filter_bits;
-    auto table = SfcTable::Create(FreshDir(std::string("codec_equiv_") +
-                                           config.tag),
-                                  "hilbert", universe, options);
+    auto table = CreateTableDb(
+        FreshDir(std::string("codec_equiv_") + config.tag), "hilbert",
+        universe, options, /*pool_pages=*/16);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     for (size_t i = 0; i < points.size(); ++i) {
       ASSERT_TRUE(table.value()->Insert(points[i], i).ok());
@@ -694,7 +761,7 @@ TEST(SfcTableTest, ManifestRecordsCodecAcrossReopen) {
     SfcTableOptions options;
     options.codec = PageCodec::kDeltaVarint;
     options.filter_bits_per_key = 6;
-    auto table = SfcTable::Create(dir, "onion", universe, options);
+    auto table = CreateTableDb(dir, "onion", universe, options);
     ASSERT_TRUE(table.ok());
     for (uint64_t i = 0; i < 200; ++i) {
       ASSERT_TRUE(
@@ -704,7 +771,7 @@ TEST(SfcTableTest, ManifestRecordsCodecAcrossReopen) {
   }
   // Reopen with DEFAULT options (raw codec): the manifest must win, so
   // segments flushed after reopen still use delta_varint.
-  auto table = SfcTable::Open(dir);
+  auto table = OpenTableDb(dir);
   ASSERT_TRUE(table.ok());
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(
@@ -732,7 +799,7 @@ TEST(SfcTableTest, SnapshotPinsPreMutationStateAcrossFlushAndCompaction) {
   options.memtable_flush_entries = 500;
   options.l0_compaction_trigger = 3;
   auto table_result =
-      SfcTable::Create(FreshDir("snapshot_pin"), "hilbert", universe, options);
+      CreateTableDb(FreshDir("snapshot_pin"), "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -788,8 +855,8 @@ TEST(SfcTableTest, DeleteHidesOlderVersionsAndReinsertResurrects) {
   const Universe universe(2, 32);
   SfcTableOptions options;
   options.memtable_flush_entries = 4;  // force the states through segments
-  auto table_result = SfcTable::Create(FreshDir("delete"), "onion", universe,
-                                       options);
+  auto table_result = CreateTableDb(FreshDir("delete"), "onion", universe,
+                                    options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   const Cell cell(5, 9);
@@ -819,8 +886,8 @@ TEST(SfcTableTest, CompactionDropsShadowedVersionsAndUnpinnedTombstones) {
   const Universe universe(2, 32);
   SfcTableOptions options;
   options.memtable_flush_entries = 64;
-  auto table_result = SfcTable::Create(FreshDir("tombstone_gc"), "hilbert",
-                                       universe, options);
+  auto table_result = CreateTableDb(FreshDir("tombstone_gc"), "hilbert",
+                                    universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (uint64_t i = 0; i < 100; ++i) {
@@ -873,7 +940,7 @@ TEST(SfcTableTest, CompactionDropsShadowedVersionsAndUnpinnedTombstones) {
 /// Creates a hilbert table over a 32x32 universe in `dir` holding `rows`
 /// flushed rows, then closes it.
 void BuildFlushedTable(const std::string& dir, uint64_t rows) {
-  auto table = SfcTable::Create(dir, "hilbert", Universe(2, 32));
+  auto table = CreateTableDb(dir, "hilbert", Universe(2, 32));
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   for (uint64_t i = 0; i < rows; ++i) {
     ASSERT_TRUE(table.value()->Insert(Cell(i % 32, (i / 32) % 32), i).ok());
@@ -909,7 +976,7 @@ TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {
   BuildFlushedTable(dir, 100);
   std::string file;
   {
-    auto table = SfcTable::Open(dir);
+    auto table = OpenTableDb(dir);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     const auto infos = table.value()->SegmentInfos();
     ASSERT_EQ(infos.size(), 1u);
@@ -919,14 +986,15 @@ TEST(SfcTableTest, UnknownSegmentVersionRejectedAtOpenWithClearStatus) {
   // Stamp the retired versions 1 and 2 and a future 9 into the header of
   // a segment this build wrote: each must be refused by name.
   for (const uint32_t version : {1u, 2u, 9u}) {
-    std::FILE* f = std::fopen((dir + "/" + file).c_str(), "r+b");
+    std::FILE* f =
+        std::fopen((TableDbDir(dir) + "/" + file).c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     uint8_t version_bytes[4];
     PutU32(version_bytes, version);
     std::fseek(f, 8, SEEK_SET);
     std::fwrite(version_bytes, 1, 4, f);
     std::fclose(f);
-    auto opened = SfcTable::Open(dir);
+    auto opened = OpenTableDb(dir);
     ASSERT_FALSE(opened.ok()) << "version " << version;
     EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(opened.status().ToString().find(
@@ -962,7 +1030,7 @@ TEST(SfcTableTest, GarbledManifestIsRejectedWithClearStatus) {
         FreshDir("garbled_" + garble.field + "_" + garble.value);
     BuildFlushedTable(dir, 500);
     bool done = false;
-    const auto changed = EditManifest(dir, [&](std::string* line) {
+    const auto changed = EditManifest(TableDbDir(dir), [&](std::string* line) {
       if (done || line->rfind(garble.field + " ", 0) != 0) return;
       done = true;
       if (garble.value.empty()) {
@@ -977,7 +1045,7 @@ TEST(SfcTableTest, GarbledManifestIsRejectedWithClearStatus) {
                     garble.value);
     });
     ASSERT_TRUE(changed.has_value()) << garble.field;
-    auto opened = SfcTable::Open(dir);
+    auto opened = OpenTableDb(dir);
     ASSERT_FALSE(opened.ok())
         << "'" << *changed << "' opened with size " << opened.value()->size();
     EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);

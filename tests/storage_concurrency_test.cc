@@ -19,6 +19,7 @@
 #include "storage/cursor.h"
 #include "storage/segment.h"
 #include "storage/sfc_table.h"
+#include "table_db.h"
 #include "workloads/generators.h"
 
 namespace onion::storage {
@@ -49,12 +50,11 @@ TEST(StorageConcurrencyTest, ReadersProceedDuringFlushAndCompaction) {
   const auto points = RandomPoints(universe, 8000, 97);
   SfcTableOptions options;
   options.entries_per_page = 32;
-  options.pool_pages = 16;
   options.memtable_flush_entries = 400;  // ~20 background flushes
   options.l0_compaction_trigger = 3;
   auto table_result =
-      SfcTable::Create(FreshDir("read_during_flush"), "hilbert", universe,
-                       options);
+      CreateTableDb(FreshDir("read_during_flush"), "hilbert", universe,
+                    options, /*pool_pages=*/16);
   ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
   auto& table = *table_result.value();
 
@@ -100,8 +100,8 @@ TEST(StorageConcurrencyTest, ConcurrentWritersLoseNothing) {
   SfcTableOptions options;
   options.memtable_flush_entries = 300;
   options.l0_compaction_trigger = 3;
-  auto table_result = SfcTable::Create(FreshDir("concurrent_writers"),
-                                       "zorder", universe, options);
+  auto table_result = CreateTableDb(FreshDir("concurrent_writers"),
+                                    "zorder", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
 
@@ -146,8 +146,8 @@ TEST(StorageConcurrencyTest, ManualCompactionUnderReaders) {
   SfcTableOptions options;
   options.memtable_flush_entries = 500;
   options.l0_compaction_trigger = 100;  // keep it fragmented until Compact
-  auto table_result = SfcTable::Create(FreshDir("manual_compact"), "onion",
-                                       universe, options);
+  auto table_result = CreateTableDb(FreshDir("manual_compact"), "onion",
+                                    universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -189,8 +189,8 @@ TEST(StorageConcurrencyTest, CloseDuringManualCompactionQuiesces) {
   SfcTableOptions options;
   options.memtable_flush_entries = 400;
   options.l0_compaction_trigger = 100;  // fragmented until Compact
-  auto table_result = SfcTable::Create(FreshDir("close_vs_compact"),
-                                       "hilbert", universe, options);
+  auto table_result = CreateTableDb(FreshDir("close_vs_compact"),
+                                    "hilbert", universe, options);
   ASSERT_TRUE(table_result.ok());
   auto& table = *table_result.value();
   for (size_t i = 0; i < points.size(); ++i) {
@@ -230,11 +230,10 @@ TEST(StorageConcurrencyTest, WorkerLifecycleUnderChurn) {
   for (int round = 0; round < 8; ++round) {
     SfcTableOptions options;
     options.entries_per_page = 32;
-    options.pool_pages = 16;
     options.memtable_flush_entries = 50;  // background work every 50 inserts
-    auto table_result = SfcTable::Create(
+    auto table_result = CreateTableDb(
         FreshDir("worker_churn_" + std::to_string(round)), "hilbert",
-        universe, options);
+        universe, options, /*pool_pages=*/16);
     ASSERT_TRUE(table_result.ok()) << table_result.status().ToString();
     auto& table = *table_result.value();
     std::atomic<bool> writer_failed{false};

@@ -306,8 +306,9 @@ TEST(WalTest, MissingFileIsNotFound) {
 }
 
 TEST(WalTest, BadHeaderIsRejected) {
-  // A header without the magic reads as Corruption, the code SfcTable::Open
-  // tolerates on the newest WAL only (a crash during its creation).
+  // A header without the magic reads as Corruption, the code a table open
+  // (SfcDb::OpenTable) tolerates on the newest WAL only (a crash during
+  // its creation).
   const std::string path = FreshPath("wal_badheader.log");
   std::FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
