@@ -78,6 +78,7 @@ for symbol in ONION_GUARDED_BY ONION_REQUIRES ONION_ACQUIRED_BEFORE \
               Mutex SharedMutex MutexLock WriterLock ReaderLock \
               wal_mu_ manifest_mu_ batch_mu_ db_mu_ sync_mu_ Shard::mu \
               SyncUpTo CommitSlicesLocked InstallManifest \
+              version_ LogAndApplyLocked \
               thread_safety_compile_negative run_clang_tidy; do
   if ! grep -q "$symbol" docs/concurrency.md; then
     echo "UNDOCUMENTED CONCURRENCY: $symbol (document it in docs/concurrency.md)"

@@ -70,14 +70,15 @@ class SnapshotCursor final : public Cursor {
  public:
   SnapshotCursor(const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
                  const Box* query_box, std::vector<Entry> memtable_entries,
-                 SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
+                 std::shared_ptr<const Version> version,
+                 std::shared_ptr<BufferPool> pool,
                  AtomicIoStats* io_stats, const ReadOptions& options)
       : curve_(curve),
         ranges_(std::move(ranges)),
         has_box_(query_box != nullptr),
         box_(query_box != nullptr ? *query_box : Box{}),
         mem_(std::move(memtable_entries)),
-        snapshot_(std::move(segments)),
+        version_(std::move(version)),
         pool_(std::move(pool)),
         io_stats_(io_stats),
         options_(options),
@@ -301,7 +302,7 @@ class SnapshotCursor final : public Cursor {
         sources_.push_back(std::move(s));
       }
     }
-    for (const auto& segment : snapshot_.l0) {
+    for (const auto& segment : version_->l0) {
       if (segment->num_entries() == 0 || range.hi < segment->min_key() ||
           range.lo > segment->max_key()) {
         continue;
@@ -311,7 +312,7 @@ class SnapshotCursor final : public Cursor {
       if (!SeekChain(&s, range.lo, range.hi)) return false;
       if (s.valid) sources_.push_back(std::move(s));
     }
-    for (const auto& level : snapshot_.levels) {
+    for (const auto& level : version_->levels) {
       // Disjoint sorted level: binary search to the first segment that can
       // overlap, then take the contiguous overlapping run as one chain.
       auto it = std::lower_bound(
@@ -418,7 +419,7 @@ class SnapshotCursor final : public Cursor {
   const bool has_box_;  // zone-map skipping needs the originating box
   const Box box_;
   const std::vector<Entry> mem_;  // sorted by (key, payload)
-  const SegmentSnapshot snapshot_;
+  const std::shared_ptr<const Version> version_;
   const std::shared_ptr<BufferPool> pool_;
   AtomicIoStats* const io_stats_;
   const ReadOptions options_;
@@ -584,11 +585,11 @@ std::unique_ptr<Cursor> NewIndexResolveCursor(
 std::unique_ptr<Cursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
-    SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
+    std::shared_ptr<const Version> version, std::shared_ptr<BufferPool> pool,
     AtomicIoStats* io_stats, const ReadOptions& options) {
   return std::make_unique<SnapshotCursor>(
       curve, std::move(ranges), query_box, std::move(memtable_entries),
-      std::move(segments), std::move(pool), io_stats, options);
+      std::move(version), std::move(pool), io_stats, options);
 }
 
 }  // namespace storage

@@ -141,10 +141,13 @@ class BufferPool;
 class SegmentReader;
 struct Entry;
 
-/// A consistent read snapshot of an SfcTable's segment structure, taken
-/// under the table lock. The shared_ptrs keep retired segments readable
-/// for as long as the cursor lives, even across compaction.
-struct SegmentSnapshot {
+/// An immutable view of an SfcTable's segment structure. The table never
+/// edits a Version in place: every flush and compaction publishes a new
+/// one, so a reader takes a consistent view by copying one shared_ptr
+/// under the table lock. The shared_ptrs inside keep retired segments
+/// readable for as long as any cursor holds the Version, even across
+/// compaction.
+struct Version {
   /// Level-0 runs, oldest first; key ranges may overlap.
   std::vector<std::shared_ptr<SegmentReader>> l0;
   /// levels[i] is level i+1: sorted by min_key, pairwise disjoint.
@@ -153,8 +156,8 @@ struct SegmentSnapshot {
 
 /// Streaming k-way-merge cursor over one query's decomposed key ranges:
 /// for each range (in order) it lazily merges the memtable hits with every
-/// overlapping L0 run and at most one contiguous group of segments per
-/// deeper level, fetching pages through `pool` one at a time and
+/// overlapping L0 run of `version` and at most one contiguous group of its
+/// segments per deeper level, fetching pages through `pool` one at a time and
 /// attributing the I/O to `io_stats` (may be null). `memtable_entries`
 /// are the snapshot-time matches from the active + pending memtables,
 /// sorted by (key, payload). `curve` maps keys back to cells and must
@@ -174,7 +177,7 @@ struct SegmentSnapshot {
 std::unique_ptr<Cursor> NewSnapshotCursor(
     const SpaceFillingCurve* curve, std::vector<KeyRange> ranges,
     const Box* query_box, std::vector<Entry> memtable_entries,
-    SegmentSnapshot segments, std::shared_ptr<BufferPool> pool,
+    std::shared_ptr<const Version> version, std::shared_ptr<BufferPool> pool,
     AtomicIoStats* io_stats, const ReadOptions& options);
 
 class SfcTable;

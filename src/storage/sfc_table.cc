@@ -30,8 +30,33 @@ constexpr int kMaxLevel = 64;
 constexpr char kWalPrefix[] = "wal_";
 constexpr char kWalSuffix[] = ".log";
 
+using ReaderPtr = std::shared_ptr<SegmentReader>;
+
 std::string SegmentFileName(uint64_t id) {
   return "seg_" + std::to_string(id) + ".sfc";
+}
+
+/// The name a MANIFEST records for a segment: its file's basename.
+std::string SegmentFile(const SegmentReader& reader) {
+  return std::filesystem::path(reader.path()).filename().string();
+}
+
+size_t NumSegments(const Version& version) {
+  size_t count = version.l0.size();
+  for (const auto& level : version.levels) count += level.size();
+  return count;
+}
+
+/// Calls fn(level, reader) for every segment of `version`: level 0 first
+/// (oldest to newest), then each deeper level in key order.
+template <typename Fn>
+void ForEachSegment(const Version& version, const Fn& fn) {
+  for (const ReaderPtr& reader : version.l0) fn(0, reader);
+  for (size_t i = 0; i < version.levels.size(); ++i) {
+    for (const ReaderPtr& reader : version.levels[i]) {
+      fn(static_cast<int>(i) + 1, reader);
+    }
+  }
 }
 
 /// Rejects option combinations that would deadlock or loop the engine.
@@ -287,14 +312,10 @@ std::string SfcTable::ManifestTextLocked() const {
   text += "next_segment_id " + std::to_string(next_segment_id_) + "\n";
   text += "wal_floor " + std::to_string(wal_floor_) + "\n";
   text += "last_sequence " + std::to_string(flushed_seq_) + "\n";
-  for (const TableSegment& segment : l0_) {
-    text += "segment 0 " + segment.file + "\n";
-  }
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    for (const TableSegment& segment : levels_[i]) {
-      text += "segment " + std::to_string(i + 1) + " " + segment.file + "\n";
-    }
-  }
+  ForEachSegment(*version_, [&](int level, const ReaderPtr& reader) {
+    text += "segment " + std::to_string(level) + " " + SegmentFile(*reader) +
+            "\n";
+  });
   return text;
 }
 
@@ -317,6 +338,61 @@ Status SfcTable::InstallManifest() {
   mu_.Unlock();
   const Status status = WriteFileAtomic(dir_ + "/" + kManifestName, text);
   mu_.Lock();
+  return status;
+}
+
+std::shared_ptr<const Version> SfcTable::ApplyEdit(const Version& base,
+                                                   const VersionEdit& edit,
+                                                   VersionEdit* inverse) {
+  auto next = std::make_shared<Version>();
+  const auto add = [&next](int level, const ReaderPtr& reader) {
+    if (level == 0) {
+      next->l0.push_back(reader);
+      return;
+    }
+    if (static_cast<int>(next->levels.size()) < level) {
+      next->levels.resize(level);
+    }
+    next->levels[level - 1].push_back(reader);
+  };
+  ForEachSegment(base, [&](int level, const ReaderPtr& reader) {
+    if (std::find(edit.removed.begin(), edit.removed.end(), reader) ==
+        edit.removed.end()) {
+      add(level, reader);
+    } else if (inverse != nullptr) {
+      inverse->added.emplace_back(level, reader);
+    }
+  });
+  for (const auto& [level, reader] : edit.added) {
+    add(level, reader);
+    if (inverse != nullptr) inverse->removed.push_back(reader);
+  }
+  // Level 0 is oldest first. Only flushes add to it and they take segment
+  // ids in flush order; the "seg_<id>.sfc" paths of one table sort by id
+  // when compared by length first.
+  std::sort(next->l0.begin(), next->l0.end(),
+            [](const ReaderPtr& a, const ReaderPtr& b) {
+              const std::string& x = a->path();
+              const std::string& y = b->path();
+              return x.size() != y.size() ? x.size() < y.size() : x < y;
+            });
+  for (auto& level : next->levels) {
+    std::sort(level.begin(), level.end(),
+              [](const ReaderPtr& a, const ReaderPtr& b) {
+                return a->min_key() < b->min_key();
+              });
+  }
+  while (!next->levels.empty() && next->levels.back().empty()) {
+    next->levels.pop_back();
+  }
+  return next;
+}
+
+Status SfcTable::LogAndApplyLocked(const VersionEdit& edit) {
+  VersionEdit inverse;
+  version_ = ApplyEdit(*version_, edit, &inverse);
+  const Status status = InstallManifest();
+  if (!status.ok()) version_ = ApplyEdit(*version_, inverse, nullptr);
   return status;
 }
 
@@ -431,24 +507,16 @@ Result<std::unique_ptr<SfcTable>> SfcTable::Open(
   table->next_segment_id_ = manifest.next_segment_id;
   table->wal_floor_ = manifest.wal_floor;
   table->flushed_seq_ = manifest.last_sequence;
+  VersionEdit segments;
   for (const auto& [level, file] : manifest.segments) {
     auto reader = SegmentReader::Open(table->SegmentPath(file));
     if (!reader.ok()) return reader.status();
-    TableSegment segment{std::move(reader).value(), file, level};
-    if (level == 0) {
-      table->l0_.push_back(std::move(segment));
-    } else {
-      if (static_cast<int>(table->levels_.size()) < level) {
-        table->levels_.resize(level);
-      }
-      table->levels_[level - 1].push_back(std::move(segment));
-    }
+    segments.added.emplace_back(level, std::move(reader).value());
   }
-  for (auto& level_segments : table->levels_) {
-    SortByMinKey(&level_segments);
-    for (size_t i = 1; i < level_segments.size(); ++i) {
-      if (level_segments[i].reader->min_key() <=
-          level_segments[i - 1].reader->max_key()) {
+  table->version_ = ApplyEdit(Version{}, segments, nullptr);
+  for (const auto& level : table->version_->levels) {
+    for (size_t i = 1; i < level.size(); ++i) {
+      if (level[i]->min_key() <= level[i - 1]->max_key()) {
         return Status::InvalidArgument(
             "overlapping segments within a level in " + dir);
       }
@@ -524,22 +592,15 @@ uint64_t SfcTable::size() const {
   for (const PendingMemtable& batch : pending_) {
     if (!batch.installed) total += batch.mem.size();
   }
-  for (const TableSegment& segment : l0_) {
-    total += segment.reader->num_entries();
-  }
-  for (const auto& level_segments : levels_) {
-    for (const TableSegment& segment : level_segments) {
-      total += segment.reader->num_entries();
-    }
-  }
+  ForEachSegment(*version_, [&total](int, const ReaderPtr& reader) {
+    total += reader->num_entries();
+  });
   return total;
 }
 
 size_t SfcTable::num_segments() const {
   const ReaderLock lock(mu_);
-  size_t count = l0_.size();
-  for (const auto& level_segments : levels_) count += level_segments.size();
-  return count;
+  return NumSegments(*version_);
 }
 
 uint64_t SfcTable::memtable_entries() const {
@@ -559,19 +620,12 @@ size_t SfcTable::pending_memtables() const {
 std::vector<SegmentInfo> SfcTable::SegmentInfos() const {
   const ReaderLock lock(mu_);
   std::vector<SegmentInfo> infos;
-  const auto add = [&](const TableSegment& segment) {
-    infos.push_back(SegmentInfo{segment.file, segment.level,
-                                segment.reader->min_key(),
-                                segment.reader->max_key(),
-                                segment.reader->num_entries(),
-                                segment.reader->file_bytes(),
-                                segment.reader->codec(),
-                                segment.reader->filter_bytes()});
-  };
-  for (const TableSegment& segment : l0_) add(segment);
-  for (const auto& level_segments : levels_) {
-    for (const TableSegment& segment : level_segments) add(segment);
-  }
+  ForEachSegment(*version_, [&infos](int level, const ReaderPtr& reader) {
+    infos.push_back(SegmentInfo{SegmentFile(*reader), level, reader->min_key(),
+                                reader->max_key(), reader->num_entries(),
+                                reader->file_bytes(), reader->codec(),
+                                reader->filter_bytes()});
+  });
   return infos;
 }
 
@@ -609,21 +663,31 @@ Status SfcTable::ApplyOpsWalLocked(const WalOp* ops, size_t count,
                                    uint64_t first_seq,
                                    std::shared_ptr<WalWriter>* used_wal,
                                    uint64_t* out_record) {
-  WriterLock lock(mu_);
-  if (closed_) return Status::InvalidArgument("table is closed: " + dir_);
-  if (!background_error_.ok()) return background_error_;
-  // Rotate BEFORE buffering so a failed WAL append has not retained any
-  // entry — callers can retry without creating duplicates. (This
-  // retry-safety covers the append path only: with wal_fsync, a failed
-  // GROUP-COMMIT fsync later reports an error for entries that are
-  // already buffered — see the wal_fsync caveat in sfc_table.h.)
-  if (memtable_.size() >= options_.memtable_flush_entries) {
+  // A SHARED hold suffices for the checks and the WAL pointer: the
+  // caller's wal_mu_ excludes every other writer and every rotation, and
+  // Close() sets closed_ under wal_mu_ too. An exclusive hold per write
+  // would starve behind overlapping cursors, because glibc's
+  // std::shared_mutex favours readers.
+  bool full = false;
+  {
+    const ReaderLock lock(mu_);
+    if (closed_) return Status::InvalidArgument("table is closed: " + dir_);
+    if (!background_error_.ok()) return background_error_;
+    full = memtable_.size() >= options_.memtable_flush_entries;
+    *used_wal = wal_;
+  }
+  if (full) {
+    // Rotate BEFORE buffering so a failed WAL append has not retained any
+    // entry — callers can retry without creating duplicates. (This
+    // retry-safety covers the append path only: with wal_fsync, a failed
+    // GROUP-COMMIT fsync later reports an error for entries that are
+    // already buffered — see the wal_fsync caveat in sfc_table.h.)
+    const WriterLock lock(mu_);
     const Status status =
         RotateMemtableLocked(options_.memtable_flush_entries);
     if (!status.ok()) return status;
+    *used_wal = wal_;
   }
-  *used_wal = wal_;  // stable: wal_mu_ (held by the caller) excludes rotation
-  lock.Unlock();
   // The WAL file I/O runs with mu_ RELEASED — readers are never stalled
   // behind a record's write. One record per commit: replay is
   // all-or-nothing for the whole op batch.
@@ -871,11 +935,10 @@ void SfcTable::FlushPendingLocked() {
   const uint64_t flush_start_us = obs::NowMicros();
   const uint64_t flush_entries = batch.mem.size();
   Status status;
-  TableSegment installed;
+  ReaderPtr reader;
+  VersionEdit edit;
   if (!batch.mem.empty()) {
-    const std::string file = SegmentFileName(next_segment_id_++);
-    const std::string path = SegmentPath(file);
-    std::shared_ptr<SegmentReader> reader;
+    const std::string path = SegmentPath(SegmentFileName(next_segment_id_++));
     mu_.Unlock();
     {
       SegmentWriter writer(path, WriterOptions());
@@ -897,12 +960,12 @@ void SfcTable::FlushPendingLocked() {
       SetBackgroundErrorLocked(status);
       return;
     }
-    installed = TableSegment{std::move(reader), file, 0};
-    // One atomic visibility flip for readers: the segment appears and the
-    // batch disappears from the read path in the same lock hold, so a
-    // query during the (unlocked) manifest install below can never see
-    // the same entries in both.
-    l0_.push_back(installed);
+    edit.added.emplace_back(0, reader);
+    // One atomic visibility flip for readers: LogAndApplyLocked publishes
+    // the Version holding the segment before it releases mu_, so the
+    // segment appears and the batch leaves the read path in the same lock
+    // hold, and a query during the (unlocked) manifest install can never
+    // see the same entries in both.
     batch.installed = true;
   }
   const uint64_t old_floor = wal_floor_;
@@ -912,16 +975,13 @@ void SfcTable::FlushPendingLocked() {
   // makes these sequences durable — the same atomic install that fences
   // the WAL files carrying them.
   flushed_seq_ = std::max(flushed_seq_, batch.mem.max_sequence());
-  status = InstallManifest();
+  status = LogAndApplyLocked(edit);
   if (!status.ok()) {
-    if (installed.reader != nullptr) {
-      // Remove by identity — the lock was released during the install, so
-      // the segment may no longer be l0_.back(). KEEP the file: a manifest
-      // written concurrently may already reference it; unreferenced it is
-      // a harmless orphan.
-      RemoveSegmentsByIdentityLocked({installed});
-      batch.installed = false;
-    }
+    // The segment left version_ in the lock hold that returned here, and
+    // the batch rejoins the read path in the same hold. KEEP the file: a
+    // manifest written concurrently may already reference it;
+    // unreferenced it is a harmless orphan.
+    batch.installed = false;
     wal_floor_ = old_floor;
     flushed_seq_ = old_flushed;
     SetBackgroundErrorLocked(status);
@@ -932,111 +992,93 @@ void SfcTable::FlushPendingLocked() {
     std::remove((dir_ + "/" + wal_file).c_str());
   }
   pending_.pop_front();
-  if (installed.reader != nullptr) {
+  if (reader != nullptr) {
     // Flush duration covers segment write + fsyncs + manifest install —
     // the full cost of making this generation durable.
     const uint64_t dur_us = obs::NowMicros() - flush_start_us;
-    const uint64_t bytes = installed.reader->file_bytes();
+    const uint64_t bytes = reader->file_bytes();
     m_.flush_us->Record(dur_us);
     m_.flush_count->Increment();
     m_.flush_bytes->Add(bytes);
     m_.flush_entries->Add(flush_entries);
     trace_->Add(obs::TraceEvent{trace_->NextId(), obs::TraceKind::kFlush,
-                                installed.file, flush_start_us, dur_us, bytes,
-                                flush_entries});
+                                SegmentFile(*reader), flush_start_us, dur_us,
+                                bytes, flush_entries});
   }
-  if (!manual_compaction_ && l0_.size() >= options_.l0_compaction_trigger) {
+  if (!manual_compaction_ &&
+      version_->l0.size() >= options_.l0_compaction_trigger) {
     compaction_pending_ = true;
   }
   cv_.NotifyAll();
 }
 
-bool SfcTable::HasAutoCompactionWorkLocked() const {
-  if (l0_.size() >= options_.l0_compaction_trigger) return true;
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    uint64_t total = 0;
-    for (const TableSegment& segment : levels_[i]) {
-      total += segment.reader->num_entries();
-    }
-    if (total > LevelTargetEntries(static_cast<int>(i) + 1)) return true;
+int SfcTable::PickCompaction(const Version& version,
+                             std::vector<ReaderPtr>* inputs) const {
+  if (version.l0.size() >= options_.l0_compaction_trigger) {
+    *inputs = version.l0;
+    return 1;
   }
-  return false;
+  for (size_t i = 0; i < version.levels.size(); ++i) {
+    const std::vector<ReaderPtr>& level = version.levels[i];
+    uint64_t total = 0;
+    for (const ReaderPtr& reader : level) total += reader->num_entries();
+    const uint64_t target = LevelTargetEntries(static_cast<int>(i) + 1);
+    if (total <= target) continue;
+    uint64_t removed = 0;
+    for (size_t take = 0; take < level.size() && total - removed > target;
+         ++take) {
+      removed += level[take]->num_entries();
+      inputs->push_back(level[take]);
+    }
+    return static_cast<int>(i) + 2;
+  }
+  return 0;
+}
+
+bool SfcTable::HasAutoCompactionWorkLocked() const {
+  std::vector<ReaderPtr> inputs;
+  return PickCompaction(*version_, &inputs) != 0;
 }
 
 void SfcTable::RunCompactionLocked() {
   compaction_pending_ = false;
   if (manual_compaction_) return;
 
-  // Pick the job: all of L0 into level 1, or the lowest-key prefix of the
-  // first over-target level into the next one.
-  std::vector<TableSegment> inputs;
-  int out_level = 0;
-  if (l0_.size() >= options_.l0_compaction_trigger) {
-    inputs = l0_;
-    out_level = 1;
-  } else {
-    for (size_t i = 0; i < levels_.size(); ++i) {
-      uint64_t total = 0;
-      for (const TableSegment& segment : levels_[i]) {
-        total += segment.reader->num_entries();
-      }
-      const uint64_t target = LevelTargetEntries(static_cast<int>(i) + 1);
-      if (total <= target) continue;
-      uint64_t removed = 0;
-      size_t take = 0;
-      while (take < levels_[i].size() && total - removed > target) {
-        removed += levels_[i][take].reader->num_entries();
-        ++take;
-      }
-      inputs.assign(levels_[i].begin(), levels_[i].begin() + take);
-      out_level = static_cast<int>(i) + 2;
-      break;
-    }
-  }
-  if (inputs.empty() || out_level < 1) return;
+  // A copy, not a reference: LogAndApplyLocked below replaces version_,
+  // and so does any flush once mu_ is released for the merge.
+  std::shared_ptr<const Version> version = version_;
+  VersionEdit edit;
+  std::vector<ReaderPtr>& inputs = edit.removed;
+  const int out_level = PickCompaction(*version, &inputs);
+  if (out_level == 0) return;
 
   // Pull in the segments of the output level that overlap the inputs' key
   // span — merging with them is what keeps the level non-overlapping.
-  Key span_lo = inputs.front().reader->min_key();
-  Key span_hi = inputs.front().reader->max_key();
-  for (const TableSegment& segment : inputs) {
-    span_lo = std::min(span_lo, segment.reader->min_key());
-    span_hi = std::max(span_hi, segment.reader->max_key());
+  Key span_lo = inputs.front()->min_key();
+  Key span_hi = inputs.front()->max_key();
+  for (const ReaderPtr& reader : inputs) {
+    span_lo = std::min(span_lo, reader->min_key());
+    span_hi = std::max(span_hi, reader->max_key());
   }
-  if (static_cast<int>(levels_.size()) >= out_level) {
-    for (const TableSegment& segment : levels_[out_level - 1]) {
-      if (segment.reader->max_key() >= span_lo &&
-          segment.reader->min_key() <= span_hi) {
-        inputs.push_back(segment);
+  if (static_cast<int>(version->levels.size()) >= out_level) {
+    for (const ReaderPtr& reader : version->levels[out_level - 1]) {
+      if (reader->max_key() >= span_lo && reader->min_key() <= span_hi) {
+        inputs.push_back(reader);
       }
     }
   }
-
   // While compaction_inflight_ is set (through the manifest install, whose
-  // lock-free window would otherwise let a manual Compact() interleave),
-  // only this worker thread mutates the segment structure, so wholesale
-  // backup/restore of the vectors is a sound rollback.
+  // lock-free window would otherwise let a manual Compact() interleave), no
+  // second compaction can pick these inputs.
   compaction_inflight_ = true;
 
   // A single input with nothing to merge against moves between levels as a
   // manifest-only edit — no reason to rewrite identical bytes.
   if (inputs.size() == 1 && out_level >= 2) {
-    const std::vector<TableSegment> l0_backup = l0_;
-    const std::vector<std::vector<TableSegment>> levels_backup = levels_;
-    TableSegment moved = inputs.front();
-    moved.level = out_level;
-    RemoveSegmentsByIdentityLocked(inputs);
-    if (static_cast<int>(levels_.size()) < out_level) {
-      levels_.resize(out_level);
-    }
-    auto& move_dest = levels_[out_level - 1];
-    move_dest.push_back(std::move(moved));
-    SortByMinKey(&move_dest);
-    const Status status = InstallManifest();
+    edit.added.emplace_back(out_level, inputs.front());
+    const Status status = LogAndApplyLocked(edit);
     compaction_inflight_ = false;
     if (!status.ok()) {
-      l0_ = l0_backup;
-      levels_ = levels_backup;
       SetBackgroundErrorLocked(status);
       return;
     }
@@ -1046,9 +1088,7 @@ void SfcTable::RunCompactionLocked() {
   }
   std::vector<const SegmentReader*> raw;
   raw.reserve(inputs.size());
-  for (const TableSegment& segment : inputs) {
-    raw.push_back(segment.reader.get());
-  }
+  for (const ReaderPtr& reader : inputs) raw.push_back(reader.get());
   const uint64_t max_output_entries = EffectiveLevelSegmentEntries();
   // MVCC retention inputs. Bottom-most iff no level deeper than the
   // output holds any segment: within one level key ranges are disjoint
@@ -1063,9 +1103,11 @@ void SfcTable::RunCompactionLocked() {
   gc.stats = &merge_stats;
   gc.snapshots = PinnedSnapshotSequences();
   gc.bottom_level = true;
-  for (size_t i = static_cast<size_t>(out_level); i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) gc.bottom_level = false;
+  for (size_t i = static_cast<size_t>(out_level); i < version->levels.size();
+       ++i) {
+    if (!version->levels[i].empty()) gc.bottom_level = false;
   }
+  version.reset();  // the edit alone keeps the inputs alive
   mu_.Unlock();
 
   std::vector<std::string> out_files;
@@ -1082,16 +1124,14 @@ void SfcTable::RunCompactionLocked() {
   };
   Status status =
       MergeSegmentsLeveled(raw, max_output_entries, open_output, &outs, gc);
-  std::vector<TableSegment> new_segments;
   if (status.ok()) {
-    for (size_t i = 0; i < outs.size(); ++i) {
-      auto opened = SegmentReader::Open(outs[i]->path());
+    for (const auto& out : outs) {
+      auto opened = SegmentReader::Open(out->path());
       if (!opened.ok()) {
         status = opened.status();
         break;
       }
-      new_segments.push_back(
-          TableSegment{std::move(opened).value(), out_files[i], out_level});
+      edit.added.emplace_back(out_level, std::move(opened).value());
     }
   }
 
@@ -1106,28 +1146,19 @@ void SfcTable::RunCompactionLocked() {
     SetBackgroundErrorLocked(status);
     return;
   }
-  // Install the new generation; a manifest failure rolls everything back
-  // so the in-memory state always matches the manifest on disk.
-  const std::vector<TableSegment> l0_backup = l0_;
-  const std::vector<std::vector<TableSegment>> levels_backup = levels_;
-  RemoveSegmentsByIdentityLocked(inputs);
-  if (static_cast<int>(levels_.size()) < out_level) levels_.resize(out_level);
-  auto& dest = levels_[out_level - 1];
-  dest.insert(dest.end(), new_segments.begin(), new_segments.end());
-  SortByMinKey(&dest);
-  status = InstallManifest();
+  // Install the new generation; a manifest failure rolls it back so the
+  // in-memory state always matches the manifest on disk.
+  status = LogAndApplyLocked(edit);
   if (!status.ok()) {
     compaction_inflight_ = false;
-    l0_ = l0_backup;
-    levels_ = levels_backup;
     // KEEP the output files: they entered the state during the install
     // window, so a concurrently written manifest may reference them.
     SetBackgroundErrorLocked(status);
     return;
   }
   uint64_t bytes_rewritten = 0;
-  for (const TableSegment& segment : new_segments) {
-    bytes_rewritten += segment.reader->file_bytes();
+  for (const auto& [level, reader] : edit.added) {
+    bytes_rewritten += reader->file_bytes();
   }
   const uint64_t dur_us = obs::NowMicros() - comp_start_us;
   const uint64_t entries_gcd = merge_stats.entries_in - merge_stats.entries_out;
@@ -1138,12 +1169,10 @@ void SfcTable::RunCompactionLocked() {
   trace_->Add(obs::TraceEvent{trace_->NextId(), obs::TraceKind::kCompaction,
                               "L" + std::to_string(out_level), comp_start_us,
                               dur_us, bytes_rewritten, entries_gcd});
-  const std::vector<std::string> doomed =
-      DetachSegmentsLocked(std::move(inputs));
   // Unlink with compaction_inflight_ still set, so the Flush()/Close()
   // barrier cannot release (and a caller cannot start tearing down the
   // table directory) while retired files are mid-deletion.
-  RemoveRetiredFiles(doomed);
+  RetireSegmentsLocked(std::move(inputs));
   compaction_inflight_ = false;
   if (!manual_compaction_ && HasAutoCompactionWorkLocked()) {
     compaction_pending_ = true;
@@ -1151,47 +1180,19 @@ void SfcTable::RunCompactionLocked() {
   cv_.NotifyAll();
 }
 
-void SfcTable::RemoveSegmentsByIdentityLocked(
-    const std::vector<TableSegment>& gone) {
-  const auto is_gone = [&](const TableSegment& segment) {
-    for (const TableSegment& g : gone) {
-      if (g.reader == segment.reader) return true;
-    }
-    return false;
-  };
-  l0_.erase(std::remove_if(l0_.begin(), l0_.end(), is_gone), l0_.end());
-  for (auto& level_segments : levels_) {
-    level_segments.erase(std::remove_if(level_segments.begin(),
-                                        level_segments.end(), is_gone),
-                         level_segments.end());
-  }
-}
-
-void SfcTable::SortByMinKey(std::vector<TableSegment>* segments) {
-  std::sort(segments->begin(), segments->end(),
-            [](const TableSegment& a, const TableSegment& b) {
-              return a.reader->min_key() < b.reader->min_key();
-            });
-}
-
-std::vector<std::string> SfcTable::DetachSegmentsLocked(
-    std::vector<TableSegment> retired) {
+void SfcTable::RetireSegmentsLocked(std::vector<ReaderPtr> retired) {
   // Also retry earlier failed unlinks (their readers are gone by now).
   std::vector<std::string> doomed = std::move(garbage_files_);
   garbage_files_.clear();
-  for (TableSegment& segment : retired) {
-    pool_->Drop(segment.reader.get());
-    doomed.push_back(SegmentPath(segment.file));
+  for (ReaderPtr& reader : retired) {
+    pool_->Drop(reader.get());
+    doomed.push_back(reader->path());
     // In-flight queries may still hold the reader via shared_ptr; on POSIX
     // the open descriptor keeps the unlinked data readable until they
     // finish, while platforms that refuse to delete open files land the
     // path back in garbage_files_ for a later retry.
-    segment.reader.reset();
+    reader.reset();
   }
-  return doomed;
-}
-
-void SfcTable::RemoveRetiredFiles(const std::vector<std::string>& doomed) {
   // File I/O with the table unlocked; only the bookkeeping re-locks.
   mu_.Unlock();
   std::vector<std::string> survivors;
@@ -1203,14 +1204,6 @@ void SfcTable::RemoveRetiredFiles(const std::vector<std::string>& doomed) {
   mu_.Lock();
   garbage_files_.insert(garbage_files_.end(), survivors.begin(),
                         survivors.end());
-}
-
-std::vector<SfcTable::TableSegment> SfcTable::AllSegmentsLocked() const {
-  std::vector<TableSegment> all = l0_;
-  for (const auto& level_segments : levels_) {
-    all.insert(all.end(), level_segments.begin(), level_segments.end());
-  }
-  return all;
 }
 
 Status SfcTable::Compact() {
@@ -1235,21 +1228,20 @@ Status SfcTable::Compact() {
   // between the screening check above and here (its barrier would then
   // wait on manual_compaction_, but refusing is the cleaner outcome).
   if (closed_) return Status::InvalidArgument("table is closed: " + dir_);
-  const std::vector<TableSegment> inputs = AllSegmentsLocked();
-  // A single segment is still rewritten: the manual Compact() is the
-  // explicit GC hook, and a just-released snapshot may have left
-  // collectable versions inside the one remaining run.
-  if (inputs.empty()) return Status::OK();
+  VersionEdit edit;
   // Deep enough that the single output does not overflow its level's size
   // target (which would just make the worker push it further down).
   uint64_t total_entries = 0;
-  for (const TableSegment& segment : inputs) {
-    total_entries += segment.reader->num_entries();
-  }
   int out_level = 1;
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) out_level = static_cast<int>(i) + 1;
-  }
+  ForEachSegment(*version_, [&](int level, const ReaderPtr& reader) {
+    edit.removed.push_back(reader);
+    total_entries += reader->num_entries();
+    out_level = std::max(out_level, level);
+  });
+  // A single segment is still rewritten: the manual Compact() is the
+  // explicit GC hook, and a just-released snapshot may have left
+  // collectable versions inside the one remaining run.
+  if (edit.removed.empty()) return Status::OK();
   while (LevelTargetEntries(out_level) < total_entries) ++out_level;
   manual_compaction_ = true;  // keeps the worker from scheduling its own
   const uint64_t comp_start_us = obs::NowMicros();
@@ -1257,13 +1249,11 @@ Status SfcTable::Compact() {
   const std::string file = SegmentFileName(next_segment_id_++);
   const std::string path = SegmentPath(file);
   std::vector<const SegmentReader*> raw;
-  raw.reserve(inputs.size());
-  for (const TableSegment& segment : inputs) {
-    raw.push_back(segment.reader.get());
-  }
+  raw.reserve(edit.removed.size());
+  for (const ReaderPtr& reader : edit.removed) raw.push_back(reader.get());
   lock.Unlock();
 
-  std::shared_ptr<SegmentReader> reader;
+  ReaderPtr reader;
   {
     // A manual compaction merges EVERY segment, so its output is
     // bottom-most by construction: unpinned shadowed versions and
@@ -1293,36 +1283,13 @@ Status SfcTable::Compact() {
     cv_.NotifyAll();
     return status;
   }
-  const TableSegment output{std::move(reader), file, out_level};
-  RemoveSegmentsByIdentityLocked(inputs);
-  if (static_cast<int>(levels_.size()) < out_level) levels_.resize(out_level);
-  levels_[out_level - 1].push_back(output);
-  SortByMinKey(&levels_[out_level - 1]);
-  status = InstallManifest();
+  edit.added.emplace_back(out_level, reader);
+  status = LogAndApplyLocked(edit);
   if (!status.ok()) {
     manual_compaction_ = false;
-    // Roll back by identity: background flushes may have appended new L0
-    // runs during the unlocked install window, so restoring wholesale
-    // snapshots of the vectors would clobber them. L0 inputs return to the
-    // FRONT (they are older than anything flushed meanwhile); leveled
-    // inputs return to their levels, whose disjointness is restored once
-    // the output that replaced them is removed again.
-    RemoveSegmentsByIdentityLocked({output});
-    std::vector<TableSegment> old_l0;
-    for (const TableSegment& segment : inputs) {
-      if (segment.level == 0) {
-        old_l0.push_back(segment);
-      } else {
-        if (static_cast<int>(levels_.size()) < segment.level) {
-          levels_.resize(segment.level);
-        }
-        levels_[segment.level - 1].push_back(segment);
-      }
-    }
-    l0_.insert(l0_.begin(), old_l0.begin(), old_l0.end());
-    for (auto& level_segments : levels_) SortByMinKey(&level_segments);
-    // KEEP the output file: a manifest written concurrently by a flush
-    // install may already reference it; unreferenced it is an orphan.
+    // The inputs are back at their levels. KEEP the output file: a
+    // manifest written concurrently by a flush install may already
+    // reference it; unreferenced it is an orphan.
     cv_.NotifyAll();
     return status;
   }
@@ -1330,17 +1297,14 @@ Status SfcTable::Compact() {
   const uint64_t entries_gcd = merge_stats.entries_in - merge_stats.entries_out;
   m_.compaction_us->Record(dur_us);
   m_.compaction_count->Increment();
-  m_.compaction_bytes_rewritten->Add(output.reader->file_bytes());
+  m_.compaction_bytes_rewritten->Add(reader->file_bytes());
   m_.compaction_entries_gcd->Add(entries_gcd);
   trace_->Add(obs::TraceEvent{trace_->NextId(), obs::TraceKind::kCompaction,
-                              file, comp_start_us, dur_us,
-                              output.reader->file_bytes(), entries_gcd});
-  std::vector<TableSegment> retired = inputs;
-  const std::vector<std::string> doomed =
-      DetachSegmentsLocked(std::move(retired));
+                              file, comp_start_us, dur_us, reader->file_bytes(),
+                              entries_gcd});
   // Unlink before clearing manual_compaction_ or waking anyone: Compact()
   // must not appear finished while retired files are mid-deletion.
-  RemoveRetiredFiles(doomed);
+  RetireSegmentsLocked(std::move(edit.removed));
   manual_compaction_ = false;
   // Re-arm background compaction: flushes that arrived during this manual
   // compaction skipped scheduling (manual_compaction_ was set), so L0 may
@@ -1385,7 +1349,7 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
                                    ? options.snapshot->sequence
                                    : kMaxSequence;
   std::vector<Entry> mem_hits;
-  SegmentSnapshot snapshot;
+  std::shared_ptr<const Version> version;
   {
     const ReaderLock lock(mu_);
     if (!background_error_.ok()) return NewErrorCursor(background_error_);
@@ -1411,22 +1375,10 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
         if (!batch.installed) scan_memtable(batch.mem);
       }
     }
-    snapshot.l0.reserve(l0_.size());
-    for (const TableSegment& segment : l0_) {
-      snapshot.l0.push_back(segment.reader);
-    }
-    snapshot.levels.reserve(levels_.size());
-    for (const auto& level_segments : levels_) {
-      std::vector<std::shared_ptr<SegmentReader>> level;
-      level.reserve(level_segments.size());
-      for (const TableSegment& segment : level_segments) {
-        level.push_back(segment.reader);
-      }
-      snapshot.levels.push_back(std::move(level));
-    }
+    version = version_;
   }
-  // Everything below runs WITHOUT the table lock: the cursor owns the
-  // snapshot and later flushes/compactions cannot disturb it.
+  // Everything below runs WITHOUT the table lock: the cursor holds the
+  // Version, which later flushes/compactions replace but never modify.
   if (!mem_hits.empty()) {
     read_stats_.memtable_entries.fetch_add(mem_hits.size(),
                                            std::memory_order_relaxed);
@@ -1437,7 +1389,7 @@ std::unique_ptr<Cursor> SfcTable::NewRangesCursor(std::vector<KeyRange> ranges,
               return a.payload < b.payload;
             });
   return NewSnapshotCursor(curve_.get(), std::move(ranges), query_box,
-                           std::move(mem_hits), std::move(snapshot), pool_,
+                           std::move(mem_hits), std::move(version), pool_,
                            &io_stats_, options);
 }
 
@@ -1484,11 +1436,8 @@ std::string SfcTable::DumpMetrics(obs::MetricsFormat format) const {
         ->Set(static_cast<int64_t>(memtable_.ApproximateBytes()));
     metrics_->gauge("pending.memtables")
         ->Set(static_cast<int64_t>(pending_.size()));
-    size_t segments = l0_.size();
-    for (const auto& level_segments : levels_) {
-      segments += level_segments.size();
-    }
-    metrics_->gauge("segments.live")->Set(static_cast<int64_t>(segments));
+    metrics_->gauge("segments.live")
+        ->Set(static_cast<int64_t>(NumSegments(*version_)));
   }
   metrics_->gauge("snapshot.oldest_pin_age_us")
       ->Set(static_cast<int64_t>(OldestSnapshotPinAgeUs()));

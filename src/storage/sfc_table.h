@@ -48,13 +48,19 @@
 // Concurrency: background flushing and compaction run on the owning
 // SfcDb's WorkerPool (storage/worker_pool.h), and pages come through the
 // db's shared BufferPool; per-table I/O attribution survives the sharing
-// via AtomicIoStats. A shared_mutex guards the table's in-memory
-// state — writers and state changes take it exclusively, queries take it
-// only long enough to scan the (immutable while shared-locked) memtables
-// and snapshot the segment list; segment I/O then proceeds WITHOUT the
-// table lock, so readers keep reading while a flush writes the next
-// segment or a compaction merges runs. Retired segments stay alive
-// (shared_ptr) until the last in-flight query or cursor drops them.
+// via AtomicIoStats. A shared_mutex guards the table's in-memory state.
+// The segment structure is one immutable Version (storage/cursor.h):
+// flush, compaction and Compact() each build a new one and publish it
+// through one edit function, LogAndApplyLocked, which also rolls it back
+// when the MANIFEST install fails. A query takes the lock shared only long
+// enough to scan the memtables and copy the Version pointer; segment I/O
+// then proceeds WITHOUT the table lock, so readers keep reading while a
+// flush writes the next segment or a compaction merges runs. Retired
+// segments stay alive (shared_ptr) until the last Version holding them is
+// dropped. Writes take the lock shared as well and take it exclusively
+// only to rotate a full memtable: glibc's std::shared_mutex favours
+// readers, so an exclusive hold per write would wait behind every stream
+// of overlapping cursors.
 // Insert() blocks only when `max_pending_memtables` generations are
 // already waiting to flush (bounded queue backpressure). Flush() is a
 // barrier: it returns once all buffered data is durable and background
@@ -307,18 +313,19 @@ class SfcTable {
       const std::string& dir, const SfcTableOptions& options,
       const SharedResources& shared);
 
-  /// One live segment and its placement in the level structure.
-  struct TableSegment {
-    std::shared_ptr<SegmentReader> reader;
-    std::string file;  // basename inside dir_
-    int level = 0;
+  /// A change to the segment structure: the readers to drop (by
+  /// identity) and the (level, reader) pairs to add.
+  struct VersionEdit {
+    std::vector<std::shared_ptr<SegmentReader>> removed;
+    std::vector<std::pair<int, std::shared_ptr<SegmentReader>>> added;
   };
 
   /// A rotated memtable generation waiting for the background flush,
   /// together with the WAL files that make it durable meanwhile. Once its
-  /// segment is visible in l0_ the batch is flagged `installed` (in the
-  /// same exclusive-lock hold) and read paths skip it — it merely awaits
-  /// manifest durability before it can be popped and its WALs deleted.
+  /// segment is visible in version_ the batch is flagged `installed` (in
+  /// the same exclusive-lock hold) and read paths skip it — it merely
+  /// awaits manifest durability before it can be popped and its WALs
+  /// deleted.
   struct PendingMemtable {
     MemTable mem;
     std::vector<std::string> wal_files;  // basenames
@@ -391,10 +398,10 @@ class SfcTable {
   bool RunBackgroundWork() ONION_EXCLUDES(mu_);
   void NotifyWorkerLocked() ONION_REQUIRES(mu_);
 
-  /// Shared cursor factory: counts the query, snapshots memtables and
-  /// segments, and hands off to the streaming merge cursor. `query_box`
-  /// (may be null) is the exact box the ranges decompose — it enables
-  /// zone-map page skipping in the cursor.
+  /// Shared cursor factory: counts the query, snapshots memtables, copies
+  /// the Version pointer, and hands off to the streaming merge cursor.
+  /// `query_box` (may be null) is the exact box the ranges decompose — it
+  /// enables zone-map page skipping in the cursor.
   std::unique_ptr<Cursor> NewRangesCursor(std::vector<KeyRange> ranges,
                                           const Box* query_box,
                                           const ReadOptions& options);
@@ -414,23 +421,35 @@ class SfcTable {
       ONION_REQUIRES(wal_mu_, mu_);
   void FlushPendingLocked() ONION_REQUIRES(mu_);
   void RunCompactionLocked() ONION_REQUIRES(mu_);
+  /// The next automatic compaction job of `version`: all of L0 into level
+  /// 1 once it reaches the trigger, else the lowest-key prefix of the first
+  /// over-target level into the next one. Appends the job's inputs to
+  /// `inputs` and returns its output level (0: no job).
+  int PickCompaction(const Version& version,
+                     std::vector<std::shared_ptr<SegmentReader>>* inputs) const;
   bool HasAutoCompactionWorkLocked() const ONION_REQUIRES_SHARED(mu_);
   std::string ManifestTextLocked() const ONION_REQUIRES_SHARED(mu_);
   Status InstallManifest() ONION_REQUIRES(mu_) ONION_EXCLUDES(manifest_mu_);
+  /// The one way the segment structure changes: publishes `edit` applied
+  /// to the current Version, then installs the MANIFEST. If the install
+  /// fails, it applies the inverse edit to whichever Version is current by
+  /// then (a flush may have landed while mu_ was released), so memory
+  /// matches the MANIFEST on disk again, and returns the error.
+  Status LogAndApplyLocked(const VersionEdit& edit)
+      ONION_REQUIRES(mu_) ONION_EXCLUDES(manifest_mu_);
+  /// `base` with `edit` applied and every level back in order: level 0
+  /// oldest first, deeper levels by min_key; trailing empty levels are
+  /// dropped. When `inverse` is not null it receives the edit
+  /// that undoes this one: it re-adds each removed reader at its level.
+  static std::shared_ptr<const Version> ApplyEdit(const Version& base,
+                                                  const VersionEdit& edit,
+                                                  VersionEdit* inverse);
   void SetBackgroundErrorLocked(const Status& status) ONION_REQUIRES(mu_);
-  /// Drops retired readers/pool frames and returns the file paths to
-  /// unlink — deletion itself happens outside the lock via
-  /// RemoveRetiredFiles (which re-locks only to stash failed unlinks in
-  /// garbage_files_ for a later retry).
-  std::vector<std::string> DetachSegmentsLocked(
-      std::vector<TableSegment> retired) ONION_REQUIRES(mu_);
-  void RemoveRetiredFiles(const std::vector<std::string>& doomed)
-      ONION_REQUIRES(mu_);
-  std::vector<TableSegment> AllSegmentsLocked() const
-      ONION_REQUIRES_SHARED(mu_);
-  void RemoveSegmentsByIdentityLocked(const std::vector<TableSegment>& gone)
-      ONION_REQUIRES(mu_);
-  static void SortByMinKey(std::vector<TableSegment>* segments);
+  /// Drops the retired readers and their pool frames, then unlinks their
+  /// files with mu_ released; it re-locks only to stash failed unlinks in
+  /// garbage_files_ for a later retry.
+  void RetireSegmentsLocked(
+      std::vector<std::shared_ptr<SegmentReader>> retired) ONION_REQUIRES(mu_);
 
   const std::string dir_;
   const std::unique_ptr<SpaceFillingCurve> curve_;
@@ -505,10 +524,10 @@ class SfcTable {
   // WAL ids below this are dead (fenced off by the MANIFEST).
   uint64_t wal_floor_ ONION_GUARDED_BY(mu_) = 0;
   std::deque<PendingMemtable> pending_ ONION_GUARDED_BY(mu_);
-  // Level 0, oldest first; key ranges may overlap.
-  std::vector<TableSegment> l0_ ONION_GUARDED_BY(mu_);
-  // levels_[i] holds level i+1, sorted by min_key, pairwise disjoint.
-  std::vector<std::vector<TableSegment>> levels_ ONION_GUARDED_BY(mu_);
+  // The live segments. Replaced, never modified, and only by
+  // LogAndApplyLocked (and Open, before the table is shared).
+  std::shared_ptr<const Version> version_ ONION_GUARDED_BY(mu_) =
+      std::make_shared<const Version>();
   // Retired segment files whose unlink failed (e.g. still open on
   // platforms that refuse to delete open files); retried on later
   // retirements and in the destructor.

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1054,6 +1055,174 @@ TEST(SfcTableTest, GarbledManifestIsRejectedWithClearStatus) {
     EXPECT_NE(opened.status().ToString().find(expect), std::string::npos)
         << opened.status().ToString();
   }
+}
+
+
+// --- A failed MANIFEST install rolls the segment structure back --------
+//
+// A directory at <table>/MANIFEST.tmp makes the atomic MANIFEST write fail
+// ("Is a directory") for every installer alike: flush, background
+// compaction and Compact().
+
+/// (level, file) of every live segment, in SegmentInfos() order.
+std::vector<std::pair<int, std::string>> Layout(const SfcTable& table) {
+  std::vector<std::pair<int, std::string>> layout;
+  for (const SegmentInfo& info : table.SegmentInfos()) {
+    layout.emplace_back(info.level, info.file);
+  }
+  return layout;
+}
+
+/// Makes every MANIFEST install of the table in `db_dir` fail until the
+/// returned path is removed.
+std::string BlockManifest(const std::string& db_dir) {
+  const std::string blocker = TableDbDir(db_dir) + "/MANIFEST.tmp";
+  EXPECT_TRUE(std::filesystem::create_directory(blocker));
+  return blocker;
+}
+
+/// Reopens the db at `db_dir` and checks it holds exactly `points`.
+void ExpectReopenHoldsEverything(const std::string& db_dir,
+                                 const std::vector<Cell>& points) {
+  auto reopened = OpenTableDb(db_dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  SfcTable& table = *reopened.value();
+  EXPECT_EQ(table.size(), points.size());
+  const Coord side = table.curve().universe().side();
+  const Box everything(Cell(0, 0), Cell(side - 1, side - 1));
+  EXPECT_EQ(Canonical(table.curve(), CursorQuery(table, everything)),
+            BruteForce(table.curve(), points, everything));
+}
+
+TEST(SfcTableTest, FailedFlushInstallRollsBackItsSegment) {
+  const Universe universe(2, 64);
+  const auto points = RandomPoints(universe, 1000, 91);
+  const std::string dir = FreshDir("flush_rollback");
+  SfcTableOptions options;
+  options.memtable_flush_entries = 1 << 20;  // only Flush() rotates
+  {
+    auto table_db = CreateTableDb(dir, "hilbert", universe, options);
+    ASSERT_TRUE(table_db.ok()) << table_db.status().ToString();
+    SfcTable& table = *table_db.value();
+    for (size_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(table.Insert(points[i], i).ok());
+    }
+    ASSERT_TRUE(table.Flush().ok());
+    for (size_t i = 500; i < points.size(); ++i) {
+      ASSERT_TRUE(table.Insert(points[i], i).ok());
+    }
+    const auto before = Layout(table);
+    ASSERT_EQ(before.size(), 1u);
+
+    const std::string blocker = BlockManifest(dir);
+    const Status status = table.Flush();
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("MANIFEST.tmp"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(Layout(table), before);
+    std::filesystem::remove(blocker);
+  }  // crash semantics: the WAL still holds the second 500 entries
+  ExpectReopenHoldsEverything(dir, points);
+}
+
+TEST(SfcTableTest, FailedCompactionInstallRollsBackItsVersion) {
+  // The flush that fills L0 to the trigger must install, and the
+  // compaction it schedules must not: the blocker goes in once that flush
+  // has counted itself, while the compaction merges. An attempt whose
+  // compaction installs first is repeated on a fresh table.
+  const Universe universe(2, 256);
+  SfcTableOptions options;
+  options.memtable_flush_entries = 10000;
+  options.l0_compaction_trigger = 4;
+  const auto points = RandomPoints(universe, 4 * 10000, 93);
+  bool rolled_back = false;
+  for (int attempt = 0; attempt < 5 && !rolled_back; ++attempt) {
+    const std::string dir =
+        FreshDir("compaction_rollback_" + std::to_string(attempt));
+    {
+      auto table_db = CreateTableDb(dir, "hilbert", universe, options);
+      ASSERT_TRUE(table_db.ok()) << table_db.status().ToString();
+      SfcTable& table = *table_db.value();
+      const size_t three_runs = 3 * options.memtable_flush_entries;
+      for (size_t i = 0; i < three_runs; ++i) {
+        ASSERT_TRUE(table.Insert(points[i], i).ok());
+      }
+      ASSERT_TRUE(table.Flush().ok());
+      ASSERT_EQ(table.num_segments(), 3u);
+      for (size_t i = three_runs; i < points.size(); ++i) {
+        ASSERT_TRUE(table.Insert(points[i], i).ok());
+      }
+      Status status;
+      std::thread flusher([&] { status = table.Flush(); });
+      const obs::Counter* flushes = table.metrics().counter("flush.count");
+      while (flushes->value() < 4) std::this_thread::yield();
+      const auto before = Layout(table);
+      const std::string blocker = BlockManifest(dir);
+      flusher.join();
+      if (status.ok() || before.size() != 4 || before.back().first != 0) {
+        continue;  // the compaction installed before the blocker
+      }
+      rolled_back = true;
+      EXPECT_NE(status.ToString().find("MANIFEST.tmp"), std::string::npos)
+          << status.ToString();
+      EXPECT_EQ(Layout(table), before);
+      std::filesystem::remove(blocker);
+    }
+    ExpectReopenHoldsEverything(dir, points);
+  }
+  EXPECT_TRUE(rolled_back);
+}
+
+TEST(SfcTableTest, FailedCompactInstallRollsBackAndRetrySucceeds) {
+  // Five flushed runs with a trigger of three: the first three compact
+  // into level-1 segments of at most 250 entries, the last two stay on L0,
+  // so the rollback must return inputs to more than one level.
+  const Universe universe(2, 64);
+  const auto points = RandomPoints(universe, 5 * 200, 95);
+  SfcTableOptions options;
+  options.entries_per_page = 32;
+  options.memtable_flush_entries = 1 << 20;  // only Flush() rotates
+  options.l0_compaction_trigger = 3;
+  options.level_segment_entries = 250;
+  const std::string dir = FreshDir("compact_rollback");
+  auto table_db = CreateTableDb(dir, "hilbert", universe, options);
+  ASSERT_TRUE(table_db.ok()) << table_db.status().ToString();
+  SfcTable& table = *table_db.value();
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(table.Insert(points[i], i).ok());
+    if ((i + 1) % 200 == 0) {
+      ASSERT_TRUE(table.Flush().ok());
+    }
+  }
+  const auto before = Layout(table);
+  ASSERT_GT(before.size(), 3u);
+  ASSERT_EQ(before.front().first, 0);  // L0 and a deeper level both live
+  ASSERT_EQ(before.back().first, 1);
+  const Box everything(Cell(0, 0), Cell(63, 63));
+  const Box corner(Cell(5, 7), Cell(30, 41));
+  const auto all_before =
+      Canonical(table.curve(), CursorQuery(table, everything));
+  const auto corner_before =
+      Canonical(table.curve(), CursorQuery(table, corner));
+  ASSERT_EQ(all_before, BruteForce(table.curve(), points, everything));
+
+  const std::string blocker = BlockManifest(dir);
+  const Status status = table.Compact();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("MANIFEST.tmp"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(Layout(table), before);
+  // Compact() sets no background error: reads go on, unchanged.
+  EXPECT_EQ(Canonical(table.curve(), CursorQuery(table, everything)),
+            all_before);
+  EXPECT_EQ(Canonical(table.curve(), CursorQuery(table, corner)),
+            corner_before);
+
+  std::filesystem::remove(blocker);
+  ASSERT_TRUE(table.Compact().ok());
+  EXPECT_EQ(table.num_segments(), 1u);
+  EXPECT_EQ(Canonical(table.curve(), CursorQuery(table, everything)),
+            all_before);
 }
 
 }  // namespace
